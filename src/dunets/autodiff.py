@@ -11,6 +11,7 @@ reduced over the added axes.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -281,9 +282,24 @@ def matvec(w, x):
     def pull(g):
         if x.data.ndim == 1:
             return np.outer(g, x.data), g @ w.data
-        return np.einsum("bm,bn->mn", g, x.data), g @ w.data
+        return g.T @ x.data, g @ w.data
 
     return record_op(out, (w, x), pull)
+
+
+def _im2col(xb, k):
+    """The (C·k, B·N) columns of a (B, C, N) batch, same-padded for extent k.
+
+    Row ``c·k + j``, column ``b·N + m`` holds ``xb[b, c, m + j - k//2]``
+    (zero outside the signal), so a ``(C_out, C·k)`` kernel matrix times the
+    columns correlates the whole batch in one GEMM.
+    """
+    b_sz, c, n = xb.shape
+    pad = k // 2
+    xp = np.zeros((c, b_sz, n + 2 * pad))
+    xp[:, :, pad:pad + n] = xb.transpose(1, 0, 2)
+    windows = sliding_window_view(xp, n, axis=2)  # (C, B, k, N)
+    return windows.transpose(0, 2, 1, 3).reshape(c * k, b_sz * n)
 
 
 def conv1d(x, kernel, bias):
@@ -291,6 +307,13 @@ def conv1d(x, kernel, bias):
 
     x: (C_in, N) or (B, C_in, N); kernel: (C_out, C_in, k) with odd k;
     bias: (C_out,).  Output length equals N (zero padding).
+
+    The batch is folded into the columns of one channel-major im2col
+    (``_im2col``), so the output and the kernel gradient are one GEMM each.
+    The input gradient is the adjoint: the output gradient correlated with
+    the flipped, transposed kernel, again one im2col and one GEMM.  The tape
+    keeps no column buffer; the pull rebuilds the input's columns from the
+    input array, which the record already holds.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.data.ndim != 3:
@@ -306,29 +329,20 @@ def conv1d(x, kernel, bias):
             f"conv1d: input {x.data.shape} incompatible with kernel {kernel.data.shape}")
 
     xb = x.data if batched else x.data[None]
+    kdata = kernel.data
     b_sz, _, n = xb.shape
-    pad = k // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
-    # (B, C_in, k, N) window view flattened for one matmul per batch
-    cols = np.stack([xp[:, :, j:j + n] for j in range(k)], axis=2)
-    cols = np.ascontiguousarray(cols.reshape(b_sz, c_in * k, n))
-    kmat = kernel.data.reshape(c_out, c_in * k)
-    out = np.matmul(kmat, cols) + bias.data[:, None]
-    if not batched:
-        out = out[0]
+    out = kdata.reshape(c_out, c_in * k) @ _im2col(xb, k)
+    out += bias.data[:, None]
+    out = out.reshape(c_out, b_sz, n).transpose(1, 0, 2)
+    out = np.ascontiguousarray(out) if batched else out[0]
 
     def pull(g):
         gb = g if batched else g[None]
-        g_bias = gb.sum(axis=(0, 2))
-        g_kmat = np.einsum("bon,bcn->oc", gb, cols)
-        g_cols = np.matmul(kmat.T, gb).reshape(b_sz, c_in, k, n)
-        g_xp = np.zeros_like(xp)
-        for j in range(k):
-            g_xp[:, :, j:j + n] += g_cols[:, :, j, :]
-        g_x = g_xp[:, :, pad:pad + n]
-        if not batched:
-            g_x = g_x[0]
-        return g_x, g_kmat.reshape(kernel.data.shape), g_bias
+        g_t = gb.transpose(1, 0, 2).reshape(c_out, b_sz * n)
+        g_kernel = (g_t @ _im2col(xb, k).T).reshape(kdata.shape)
+        kflip = kdata[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
+        g_x = (kflip @ _im2col(gb, k)).reshape(c_in, b_sz, n).transpose(1, 0, 2)
+        return (g_x if batched else g_x[0]), g_kernel, g_t.sum(axis=1)
 
     return record_op(out, (x, kernel, bias), pull)
 

@@ -15,11 +15,12 @@ from .layers import Adam, CosineSchedule, clip_global_norm
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries step index, rate, and gradient norm."""
+    """Loss or gradient norm became non-finite; carries step, rate and norm."""
 
     def __init__(self, step, lr, grad_norm):
         super().__init__(
-            f"non-finite loss at step {step} (lr={lr:.3e}, grad_norm={grad_norm})")
+            f"non-finite loss or gradient at step {step} "
+            f"(lr={lr:.3e}, grad_norm={grad_norm})")
         self.step = step
         self.lr = lr
         self.grad_norm = grad_norm
@@ -141,7 +142,8 @@ def train(model, dataset, config, train_override=None):
             grad_list = [grads[p] for p in params]
             clipped, norm = clip_global_norm(grad_list, config.clip_norm)
             loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
+            # a NaN norm never exceeds the clip bound, so clipping passes it on
+            if not (np.isfinite(loss_value) and np.isfinite(norm)):
                 raise TrainingDiverged(step, lr, norm)
             opt.step(clipped, lr)
             history.steps.append((step, epoch, lr, loss_value))

@@ -1,3 +1,11 @@
+import os
+
+# BLAS reads its thread counts once, when numpy loads, and numpy loads here
+# before dunets can pin them: pin every pool to one thread first, so the
+# suite runs the single-threaded BLAS that bit-identical reruns rely on.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -151,27 +151,61 @@ def test_conv1d_impulse_matches_double_loop_oracle():
                           expected)
 
 
+# (B, C_in, N, C_out, k); B None means an unbatched (C_in, N) input
+CONV_SHAPES = [
+    (None, 3, 7, 2, 3),
+    (None, 1, 5, 2, 1),
+    (None, 2, 1, 3, 5),   # N < k: every tap but the centre reads padding
+    (1, 1, 2, 2, 5),      # B = 1, C_in = 1, N < k
+    (4, 2, 6, 3, 3),
+    (3, 3, 9, 2, 5),
+    (2, 2, 4, 1, 1),
+]
+
+
+def conv_draw(rng, shape):
+    b_sz, c_in, n, c_out, k = shape
+    x = rng.normal(size=(c_in, n) if b_sz is None else (b_sz, c_in, n))
+    return x, rng.normal(size=(c_out, c_in, k)), rng.normal(size=(c_out,))
+
+
 def test_conv1d_random_matches_oracle(rng):
-    for _ in range(20):
-        x = rng.normal(size=(3, 7))
-        kernel = rng.normal(size=(2, 3, 3))
-        bias = rng.normal(size=(2,))
+    for shape in CONV_SHAPES * 20:
+        x, kernel, bias = conv_draw(rng, shape)
         out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias)).data
-        assert np.allclose(out, conv_oracle(x, kernel, bias), atol=1e-12)
+        expected = (conv_oracle(x, kernel, bias) if x.ndim == 2 else
+                    np.stack([conv_oracle(xi, kernel, bias) for xi in x]))
+        assert out.shape == expected.shape
+        assert out.flags.c_contiguous
+        assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_conv1d_adjoint_identity(rng):
-    for _ in range(50):
-        x = rng.normal(size=(2, 6))
-        kernel = rng.normal(size=(3, 2, 3))
-        u = rng.normal(size=(3, 6))
-        zero_bias = np.zeros(3)
+    for shape in CONV_SHAPES * 50:
+        x, kernel, _ = conv_draw(rng, shape)
+        c_out, _, k = kernel.shape
+        u = rng.normal(size=x.shape[:-2] + (c_out, x.shape[-1]))
+        zero_bias = np.zeros(c_out)
         lhs = float((conv1d(Tensor(x), Tensor(kernel), Tensor(zero_bias)).data * u).sum())
-        (gx, _, _) = grads_of(
+        (gx, gk, gb) = grads_of(
             lambda xx, kk, bb: sum_all(mul(conv1d(xx, kk, bb), Tensor(u))),
             [x, kernel, zero_bias])
         rhs = float((x * gx).sum())
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+        # the loss <conv1d(x, K, 0), u> is linear in K:
+        # g_K[o, c, j] = sum_{b, n} u[b, o, n] * x_pad[b, c, n + j]
+        xb, ub = (x, u) if x.ndim == 3 else (x[None], u[None])
+        n, pad = x.shape[-1], k // 2
+        x_pad = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
+        expected = np.stack([np.einsum("bon,bcn->oc", ub, x_pad[:, :, j:j + n])
+                             for j in range(k)], axis=-1)
+        assert np.allclose(gk, expected, rtol=0, atol=1e-12 * max(abs(expected).max(), 1.0))
+        assert np.allclose(gb, ub.sum(axis=(0, 2)), rtol=0, atol=1e-12 * ub.size)
+        # and in x: g_x_pad[b, c, n + j] += sum_o K[o, c, j] * u[b, o, n]
+        g_pad = np.zeros_like(x_pad)
+        for j in range(k):
+            g_pad[:, :, j:j + n] += np.einsum("oc,bon->bcn", kernel[:, :, j], ub)
+        assert np.allclose(gx, g_pad[:, :, pad:pad + n].reshape(gx.shape), rtol=0, atol=1e-12 * ub.size)
 
 
 def test_conv1d_rejects_even_kernel_and_channel_mismatch():

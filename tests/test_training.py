@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from dunets import layers
+import dunets
+from dunets import layers, training
 from dunets.autodiff import Tensor
 from dunets.training import (TrainConfig, TrainingDiverged, evaluate,
                              mse_loss, subsample_train, train)
@@ -135,6 +140,26 @@ def test_divergence_aborts_with_diagnostics(tiny_dataset):
     assert excinfo.value.lr > 0
 
 
+def test_nan_gradient_with_finite_loss_leaves_parameters_untouched(
+        tiny_dataset, monkeypatch):
+    original = training.backward
+
+    def nan_backward(loss, params):
+        grads = original(loss, params)
+        grads[params[0]] = np.full_like(grads[params[0]], np.nan)
+        return grads
+
+    monkeypatch.setattr(training, "backward", nan_backward)
+    model = tiny_model(tiny_dataset, unroll=2)
+    before = [p.data.copy() for p in model.param_list()]
+    with pytest.raises(TrainingDiverged) as excinfo:
+        train(model, tiny_dataset, TrainConfig(epochs=1, batch_size=8, seed=0))
+    assert excinfo.value.step == 0
+    assert np.isnan(excinfo.value.grad_norm)
+    for p, b in zip(model.param_list(), before):
+        assert np.array_equal(p.data, b)
+
+
 def test_gradient_norm_fed_to_adam_never_exceeds_clip(tiny_dataset, monkeypatch):
     seen = []
     original = layers.Adam.step
@@ -233,3 +258,18 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(lr0=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pinning
+
+@pytest.mark.parametrize("caller_pins, warns", [(False, True), (True, False)])
+def test_late_blas_pin_warns_unless_caller_pinned(caller_pins, warns):
+    env = {k: v for k, v in os.environ.items() if k not in dunets.BLAS_VARS}
+    if caller_pins:
+        env.update({var: "1" for var in dunets.BLAS_VARS})
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(dunets.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-c", "import numpy, dunets"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert ("RuntimeWarning" in proc.stderr) == warns
