@@ -65,10 +65,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         tracked = self.tape is not None and not self.tape.closed
         return f"Tensor(shape={self.data.shape}, tracked={tracked})"
@@ -94,10 +90,6 @@ class Tensor:
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zeros(shape):
-    return Tensor(np.zeros(shape))
 
 
 def _open_tape(*tensors):
@@ -230,21 +222,6 @@ def neg(a):
         return (-g,)
 
     return record_op(-a.data, (a,), pull)
-
-
-def elementwise(kind, a, b=None):
-    """Dispatch an elementwise operation by name."""
-    if kind == "add":
-        return add(a, b)
-    if kind == "subtract":
-        return sub(a, b)
-    if kind == "multiply":
-        return mul(a, b)
-    if kind == "scale":
-        return scale(a, b)
-    if kind == "negate":
-        return neg(a)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
 
 
 def sum_all(a):
@@ -380,36 +357,32 @@ def sigmoid(a):
 
 
 def prelu(x, slope):
-    """Per-channel parametric ReLU on (C, N) or (B, C, N) features."""
+    """Per-channel parametric ReLU on (C, N) or (B, C, N) features.
+
+    Branch-free: ``max(x, 0) + s·min(x, 0)`` and the gradient factor
+    ``neg·s + ~neg`` round exactly like a masked select, because one term of
+    each sum is an exact zero.  The pull recomputes the sign mask from the
+    input array, which the record already holds.
+    """
     x, slope = as_tensor(x), as_tensor(slope)
     if x.data.ndim not in (2, 3):
         raise ShapeError(f"prelu: expected channel-major features, got {x.data.shape}")
     c = x.data.shape[-2]
     if slope.data.shape != (c,):
         raise ShapeError(f"prelu: slope shape {slope.data.shape} != ({c},)")
-    neg_mask = x.data < 0
+    xd = x.data
     s = slope.data[:, None]
-    out = np.where(neg_mask, x.data * s, x.data)
+    out = np.maximum(xd, 0.0)
+    out += np.minimum(xd, 0.0) * s
 
     def pull(g):
-        g_x = np.where(neg_mask, g * s, g)
-        g_s = (g * x.data * neg_mask).sum(axis=tuple(i for i in range(x.data.ndim) if i != x.data.ndim - 2))
+        neg = xd < 0
+        g_x = g * (neg * s + ~neg)
+        g_s = (g * np.minimum(xd, 0.0)).sum(
+            axis=tuple(i for i in range(xd.ndim) if i != xd.ndim - 2))
         return g_x, g_s
 
     return record_op(out, (x, slope), pull)
-
-
-def nonlinearity(kind, x, slope=None):
-    """Dispatch a pointwise nonlinearity by name."""
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "prelu":
-        if slope is None:
-            raise ValueError("prelu requires a per-channel slope")
-        return prelu(x, slope)
-    raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def _full_config(config, dataset):
         size = len(subsample_train(dataset, config["train_fraction"],
                                    config["seed"])[0])
     full["data_size"] = size
+    full["val_size"], full["test_size"] = dataset.counts[1:]
+    full["tv_scale"] = dataset.tv_scale
+    full["noise_sigma"] = dataset.noise_sigma
     full["op_fingerprint"] = dataset.operator.fingerprint()
     return full
 
@@ -248,7 +251,8 @@ def cmd_eval(args):
 # sweep
 
 def _dataset_cache(root, a, counts, seed, tv_scale, noise_sigma):
-    tag = f"a{a:g}_seed{seed}_c{'x'.join(str(c) for c in counts)}"
+    tag = (f"a{a:g}_seed{seed}_c{'x'.join(str(c) for c in counts)}"
+           f"_tv{tv_scale!r}_noise{noise_sigma!r}")
     path = os.path.join(root, "datasets", tag)
     if not os.path.exists(os.path.join(path, "manifest.txt")):
         save_dataset(gen_dataset(a, counts=tuple(counts), seed=seed,

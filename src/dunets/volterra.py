@@ -164,7 +164,8 @@ def vjp(op, x, u):
         g_x = _scatter_windows(op, contrib, x_data.shape)
         return g_x, g_u
 
-    return record_op(_pullback(op, x_data, u_data), (xt, ut), pull)
+    out = _scatter_windows(op, u_data[..., :, None] * wgrads, x_data.shape)
+    return record_op(out, (xt, ut), pull)
 
 
 def data_grad(op, x, y_obs):

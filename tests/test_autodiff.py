@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dunets import autodiff as ad
 from dunets.autodiff import (ShapeError, Tape, Tensor, backward, add,
-                             concat_channels, conv1d, matvec, mul,
-                             nonlinearity, prelu, reshape, scale, sigmoid,
+                             concat_channels, conv1d, matvec, mul, prelu,
+                             reshape, scale, sigmoid,
                              slice_channels, sub, sum_all, tanh)
 from dunets.gradcheck import check_op, fd_gradient, rel_error
 
@@ -49,17 +48,6 @@ def test_grad_of_sum_of_product_is_other_factor(rng):
 def test_elementwise_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
         add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-
-
-def test_elementwise_dispatch():
-    a, b = Tensor([2.0]), Tensor([3.0])
-    assert ad.elementwise("add", a, b).data[0] == 5.0
-    assert ad.elementwise("subtract", a, b).data[0] == -1.0
-    assert ad.elementwise("multiply", a, b).data[0] == 6.0
-    assert ad.elementwise("scale", a, 4.0).data[0] == 8.0
-    assert ad.elementwise("negate", a).data[0] == -2.0
-    with pytest.raises(ValueError):
-        ad.elementwise("divide", a, b)
 
 
 def test_broadcast_add_reduces_gradient_over_batch(rng):
@@ -245,17 +233,36 @@ def test_tanh_gradient_matches_finite_differences(rng):
     assert err <= 1e-5
 
 
-def test_prelu_requires_slope():
-    with pytest.raises(ValueError):
-        nonlinearity("prelu", Tensor([[1.0]]))
-
-
 def test_prelu_slope_gradient(rng):
     x = rng.normal(size=(2, 5))
     slope = rng.uniform(0.1, 0.5, size=2)
-    err = check_op(lambda xx, ss: sum_all(mul(prelu(xx, ss), prelu(xx, ss))),
-                   [x, slope])
-    assert err <= 1e-5
+    # batched: magnitudes kept off the kink so the differences never cross it
+    xb = rng.uniform(0.1, 1.0, size=(3, 2, 5)) * rng.choice([-1.0, 1.0], size=(3, 2, 5))
+    for features in (x, xb):
+        err = check_op(lambda xx, ss: sum_all(mul(prelu(xx, ss), prelu(xx, ss))),
+                       [features, slope])
+        assert err <= 1e-5
+
+
+def test_prelu_matches_masked_select_oracle_bitwise(rng):
+    for shape in [(3, 7), (4, 3, 7)]:
+        x = rng.normal(size=shape)
+        x.reshape(-1)[::5] = 0.0  # exact zeros sit on the kink
+        assert (x < 0).any() and (x > 0).any()
+        slope = np.array([0.25, -0.5, 1.5])
+        g = rng.normal(size=shape)
+        neg = x < 0
+        s = slope[:, None]
+        axes = tuple(i for i in range(x.ndim) if i != x.ndim - 2)
+        xt, st = Tensor(x), Tensor(slope)
+        with Tape() as tape:
+            tape.watch(xt, st)
+            out = prelu(xt, st)
+            assert len(tape) == 1  # one record per call
+            grads = backward(sum_all(mul(out, Tensor(g))), [xt, st])
+        assert np.array_equal(out.data, np.where(neg, x * s, x))
+        assert np.array_equal(grads[xt], np.where(neg, g * s, g))
+        assert np.array_equal(grads[st], (g * x * neg).sum(axis=axes))
 
 
 # ---------------------------------------------------------------------------

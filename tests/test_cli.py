@@ -205,6 +205,26 @@ def test_sweep_skips_completed_cells(tmp_path, capsys):
     assert "0 ran, 1 skipped" in capsys.readouterr().out
 
 
+def test_sweep_new_noise_level_gets_its_own_data_and_runs(tmp_path):
+    out = str(tmp_path / "sweep")
+    argv = ["sweep", "--kind", "a", "--grid", "1", "--models", "lpd",
+            "--momenta", "none", "--seeds", "0", *SWEEP_FAST, "--out", out]
+    assert run(*argv) == 0
+    assert run(*argv, "--noise-sigma", "0.5") == 0
+    rows = read_rows(os.path.join(out, "results.csv"))
+    assert len(rows) == 2 and rows[0]["fingerprint"] != rows[1]["fingerprint"]
+    sigmas = set()
+    for name in os.listdir(os.path.join(out, "datasets")):
+        with open(os.path.join(out, "datasets", name, "manifest.txt")) as fh:
+            sigmas.update(line.strip() for line in fh
+                          if line.startswith("noise_sigma="))
+    assert sigmas == {"noise_sigma=0.0", "noise_sigma=0.5"}
+    for fp in (r["fingerprint"] for r in rows):
+        with open(os.path.join(out, "runs", fp, "record.json")) as fh:
+            config = json.load(fh)["config"]
+        assert config["tv_scale"] == 0.1 and config["val_size"] == 8
+
+
 def test_sweep_rma_structure_grid(tmp_path):
     out = str(tmp_path / "sweep")
     assert run("sweep", "--kind", "rma-structure", "--grid", "1,2;4,5",
