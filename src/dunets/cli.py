@@ -20,8 +20,8 @@ import numpy as np
 
 from .training import (TrainConfig, TrainingDiverged, evaluate,
                        subsample_train, train)
-from .unrolling import (MOMENTA, VARIANTS, UnrollModel, default_unroll,
-                        load_model, save_model)
+from .unrolling import (MOMENTA, VARIANTS, ModelConfig, UnrollModel,
+                        default_unroll, load_model, save_model)
 from .volterra import gen_dataset, load_dataset, save_dataset
 
 RESULTS_ENV = "DUNETS_RESULTS"
@@ -29,6 +29,11 @@ RESULTS_ENV = "DUNETS_RESULTS"
 RESULT_COLUMNS = ["fingerprint", "variant", "momentum", "T", "L", "n", "a",
                   "data_size", "seed", "epochs", "batch_size", "lr0",
                   "width", "split", "mse_mean", "mse_std"]
+
+# results column -> ModelConfig field, for the columns that name the model
+MODEL_COLUMNS = {"variant": "variant", "momentum": "momentum", "T": "unroll",
+                 "L": "lstm_layers", "n": "lstm_hidden", "width": "width",
+                 "seed": "seed", "gamma": "gamma", "eta": "eta"}
 
 AGG_COLUMNS = ["variant", "momentum", "T", "L", "n", "a", "data_size",
                "epochs", "batch_size", "lr0", "width", "split",
@@ -110,26 +115,27 @@ def cmd_gen_data(args):
 # ---------------------------------------------------------------------------
 # train
 
+def _dataset_fields(dataset, train_size):
+    """The fingerprint fields that a run's dataset determines."""
+    return {"a": dataset.operator.a, "data_size": train_size,
+            "val_size": dataset.counts[1], "test_size": dataset.counts[2],
+            "tv_scale": dataset.tv_scale, "noise_sigma": dataset.noise_sigma,
+            "op_fingerprint": dataset.operator.fingerprint()}
+
+
 def _full_config(config, dataset):
     """Extend a run config with the dataset-derived fingerprint fields."""
-    full = dict(config)
-    full["a"] = dataset.operator.a
     size = len(dataset.splits["train"][0])
     if config["train_fraction"] < 1.0:
         size = len(subsample_train(dataset, config["train_fraction"],
                                    config["seed"])[0])
-    full["data_size"] = size
-    full["val_size"], full["test_size"] = dataset.counts[1:]
-    full["tv_scale"] = dataset.tv_scale
-    full["noise_sigma"] = dataset.noise_sigma
-    full["op_fingerprint"] = dataset.operator.fingerprint()
-    return full
+    return {**config, **_dataset_fields(dataset, size)}
 
 
-def _row_from_record(record):
+def _row_from_record(record, split="test"):
     full = record["config"]
     row = {c: full.get(c, "") for c in RESULT_COLUMNS}
-    row.update({"fingerprint": record["fingerprint"], "split": "test",
+    row.update({"fingerprint": record["fingerprint"], "split": split,
                 "mse_mean": record["mse_mean"], "mse_std": record["mse_std"]})
     return row
 
@@ -162,10 +168,7 @@ def _train_one(config, data_dir, out_root, force=False, reuse=False):
     os.makedirs(run_dir, exist_ok=True)
 
     model = UnrollModel.build(
-        config["variant"], config["momentum"], op, unroll=config["T"],
-        width=config["width"], lstm_layers=config["L"],
-        lstm_hidden=config["n"], gamma=config["gamma"], eta=config["eta"],
-        seed=config["seed"])
+        operator=op, **{f: config[c] for c, f in MODEL_COLUMNS.items()})
     tc = TrainConfig(epochs=config["epochs"], batch_size=config["batch_size"],
                      lr0=config["lr0"], seed=config["seed"])
     started = time.time()
@@ -188,11 +191,7 @@ def _train_one(config, data_dir, out_root, force=False, reuse=False):
     }
     with open(record_path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
-
-    row = {c: full.get(c, "") for c in RESULT_COLUMNS}
-    row.update({"fingerprint": fp, "split": "test",
-                "mse_mean": stats.mean, "mse_std": stats.std})
-    return row
+    return _row_from_record(record)
 
 
 def _train_config_from_args(args):
@@ -231,38 +230,28 @@ def cmd_eval(args):
     print(f"{args.split} split: mse {stats.mean:.6e} (std {stats.std:.3e}, "
           f"{len(x)} samples)")
     if args.results:
-        config = {
-            "variant": model.variant, "momentum": model.momentum,
-            "T": model.unroll, "L": model.lstm_layers, "n": model.lstm_hidden,
-            "width": model.width, "seed": model.seed, "epochs": "",
-            "batch_size": "", "lr0": "", "train_fraction": "",
-            "gamma": model.gamma, "eta": model.eta,
-            "a": model.operator.a, "data_size": len(dataset.splits["train"][0]),
-            "op_fingerprint": model.operator.fingerprint(),
-        }
-        row = {c: config.get(c, "") for c in RESULT_COLUMNS}
-        row.update({"fingerprint": fingerprint(config), "split": args.split,
-                    "mse_mean": stats.mean, "mse_std": stats.std})
-        _append_result(args.results, row)
+        config = {column: getattr(model.config, field)
+                  for column, field in MODEL_COLUMNS.items()}
+        config.update(_dataset_fields(dataset, len(dataset.splits["train"][0])))
+        record = {"fingerprint": fingerprint(config), "config": config,
+                  "mse_mean": stats.mean, "mse_std": stats.std}
+        _append_result(args.results, _row_from_record(record, args.split))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
-def _dataset_cache(root, a, counts, seed, tv_scale, noise_sigma):
-    tag = (f"a{a:g}_seed{seed}_c{'x'.join(str(c) for c in counts)}"
-           f"_tv{tv_scale!r}_noise{noise_sigma!r}")
-    path = os.path.join(root, "datasets", tag)
+def _dataset_cache(root, **gen_kwargs):
+    """Generate a sweep dataset once, in a directory named by its arguments."""
+    path = os.path.join(root, "datasets", fingerprint(gen_kwargs))
     if not os.path.exists(os.path.join(path, "manifest.txt")):
-        save_dataset(gen_dataset(a, counts=tuple(counts), seed=seed,
-                                 tv_scale=tv_scale, noise_sigma=noise_sigma),
-                     path, force=True)
+        save_dataset(gen_dataset(**gen_kwargs), path, force=True)
     return path
 
 
 def _sweep_cells(args):
-    """Expand the sweep kind and grid into (config, dataset kwargs) cells."""
+    """Expand the sweep kind and grid into (config, gen_dataset kwargs) cells."""
     seeds = _ints(args.seeds)
     counts = tuple(_ints(args.counts))
     models = args.models.split(",") if args.models else None
@@ -282,7 +271,9 @@ def _sweep_cells(args):
         })
         config.update(extra)
         cells.append((config, {"a": a, "counts": counts,
-                               "seed": args.data_seed}))
+                               "seed": args.data_seed,
+                               "tv_scale": args.tv_scale,
+                               "noise_sigma": args.noise_sigma}))
 
     if args.kind == "a":
         grid = _floats(args.grid) if args.grid else [0.0, 1.0, 2.0, 4.0]
@@ -331,10 +322,8 @@ def cmd_sweep(args):
     cells = _sweep_cells(args)
     payloads = []
     dataset_cache = {}
-    for config, ds_kwargs in cells:
-        data_dir = _dataset_cache(args.out, ds_kwargs["a"], ds_kwargs["counts"],
-                                  ds_kwargs["seed"], args.tv_scale,
-                                  args.noise_sigma)
+    for config, gen_kwargs in cells:
+        data_dir = _dataset_cache(args.out, **gen_kwargs)
         if data_dir not in dataset_cache:
             dataset_cache[data_dir] = load_dataset(data_dir)
         if fingerprint(_full_config(config, dataset_cache[data_dir])) in done:
@@ -357,7 +346,7 @@ def cmd_sweep(args):
     if os.path.exists(results_path):
         _sort_results(results_path)
     print(f"sweep complete: {len(payloads) - len(failures)} ran, "
-          f"{len(done)} skipped, {len(failures)} failed")
+          f"{len(cells) - len(payloads)} skipped, {len(failures)} failed")
     if failures:
         for config, error in failures:
             print(f"  FAILED {config['variant']}-{config['momentum']} "
@@ -497,11 +486,11 @@ def build_parser():
     p.add_argument("--model", choices=VARIANTS, required=True)
     p.add_argument("--momentum", choices=MOMENTA, default="none")
     p.add_argument("--T", type=int, default=None)
-    p.add_argument("--L", type=int, default=1)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--eta", type=float, default=1e-3)
+    p.add_argument("--L", type=int, default=ModelConfig.lstm_layers)
+    p.add_argument("--n", type=int, default=ModelConfig.lstm_hidden)
+    p.add_argument("--width", type=int, default=ModelConfig.width)
+    p.add_argument("--gamma", type=float, default=ModelConfig.gamma)
+    p.add_argument("--eta", type=float, default=ModelConfig.eta)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=20)
@@ -535,11 +524,11 @@ def build_parser():
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--tv-scale", type=float, default=0.1)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--L", type=int, default=1)
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--eta", type=float, default=1e-3)
+    p.add_argument("--L", type=int, default=ModelConfig.lstm_layers)
+    p.add_argument("--n", type=int, default=ModelConfig.lstm_hidden)
+    p.add_argument("--width", type=int, default=ModelConfig.width)
+    p.add_argument("--gamma", type=float, default=ModelConfig.gamma)
+    p.add_argument("--eta", type=float, default=ModelConfig.eta)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)

@@ -250,10 +250,6 @@ class CosineSchedule:
         return 0.5 * self.lr0 * (1.0 + np.cos(np.pi * t / self.t_max))
 
 
-def cosine_lr(t, lr0, t_max):
-    return CosineSchedule(lr0, t_max).rate(t)
-
-
 def global_norm(grads):
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
 

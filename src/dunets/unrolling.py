@@ -12,7 +12,7 @@ reproduces its zero initialization exactly; training bends the iterates
 away from it.  Dual blocks keep live output layers (see build).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,14 +36,50 @@ def default_unroll(variant, momentum):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+@dataclass(frozen=True)
+class ModelConfig:
+    """Every hyperparameter that fixes a model's architecture and its init.
+
+    These fields are the model's checkpoint manifest.  ``unroll=None``
+    resolves to the variant's default unroll count.
+    """
+
+    variant: str
+    momentum: str
+    unroll: int | None = None
+    n_primal: int = 5
+    n_dual: int = 5
+    width: int = 32
+    kernel: int = 3
+    lstm_layers: int = 1
+    lstm_hidden: int = 50
+    gamma: float = 0.9
+    eta: float = 1e-3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(
+                f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.momentum not in MOMENTA:
+            raise ValueError(
+                f"momentum must be one of {MOMENTA}, got {self.momentum!r}")
+        if self.unroll is None:
+            object.__setattr__(self, "unroll",
+                               default_unroll(self.variant, self.momentum))
+        if self.unroll < 0:
+            raise ValueError("unroll count must be non-negative")
+        if self.variant == "lpd" and self.n_primal < 2:
+            raise ValueError("lpd needs at least two primal channels")
+        object.__setattr__(self, "seed", int(self.seed))
+
+
 # ---------------------------------------------------------------------------
-# momentum modules (duck-typed: init_state() and step(state, g) -> (d, state))
+# momentum modules (duck-typed: step(state, g) -> (d, state); state starts
+# as None)
 
 class NoMomentum:
     """Pass the raw gradient through as the update direction."""
-
-    def init_state(self):
-        return None
 
     def step(self, state, g):
         return g, None
@@ -58,9 +94,6 @@ class MomentumMA:
     def __init__(self, gamma=0.9, eta=1e-3):
         self.gamma = float(gamma)
         self.eta = float(eta)
-
-    def init_state(self):
-        return None
 
     def step(self, state, g):
         v_prev = state if state is not None else Tensor(np.zeros_like(g.data))
@@ -77,9 +110,6 @@ class RecurrentMomentum:
     def __init__(self, stack):
         self.stack = stack
 
-    def init_state(self):
-        return None
-
     def step(self, state, g):
         if state is None:
             batch = g.data.shape[0] if g.data.ndim == 2 else None
@@ -88,13 +118,6 @@ class RecurrentMomentum:
 
     def named_params(self, prefix):
         yield from self.stack.named_params(prefix)
-
-
-def ma_step(v, g, gamma=0.9, eta=1e-3):
-    """One explicit momentum update on tensors or plain arrays."""
-    if isinstance(v, Tensor) or isinstance(g, Tensor):
-        return sub(scale(v, gamma), scale(g, eta))
-    return gamma * np.asarray(v) - eta * np.asarray(g)
 
 
 # ---------------------------------------------------------------------------
@@ -124,44 +147,32 @@ class ReconstructionTrace:
 class UnrollModel:
     """A reconstruction network: variant x momentum mode x unroll count."""
 
-    def __init__(self, variant, momentum, unroll, operator, primal_nets,
-                 dual_nets, fusions, momentum_module, n_primal, n_dual,
-                 width, kernel, lstm_layers, lstm_hidden, gamma, eta, seed):
-        self.variant = variant
-        self.momentum = momentum
-        self.unroll = unroll
+    def __init__(self, config, operator, primal_nets, dual_nets, fusions,
+                 momentum_module):
+        self.config = config
         self.operator = operator
         self.primal_nets = primal_nets      # list of ConvStack (length T or 1)
         self.dual_nets = dual_nets          # list of ConvStack, lpd only
         self.fusions = fusions              # list of Conv1dLayer, rma only
         self.momentum_module = momentum_module
-        self.n_primal = n_primal
-        self.n_dual = n_dual
-        self.width = width
-        self.kernel = kernel
-        self.lstm_layers = lstm_layers
-        self.lstm_hidden = lstm_hidden
-        self.gamma = gamma
-        self.eta = eta
-        self.seed = seed
+
+    @property
+    def variant(self):
+        return self.config.variant
+
+    @property
+    def momentum(self):
+        return self.config.momentum
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build(cls, variant, momentum, operator, unroll=None, width=32,
-              kernel=3, n_primal=5, n_dual=5, lstm_layers=1, lstm_hidden=50,
-              gamma=0.9, eta=1e-3, seed=0):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if momentum not in MOMENTA:
-            raise ValueError(f"momentum must be one of {MOMENTA}, got {momentum!r}")
-        if unroll is None:
-            unroll = default_unroll(variant, momentum)
-        if unroll < 0:
-            raise ValueError("unroll count must be non-negative")
-        if variant == "lpd" and n_primal < 2:
-            raise ValueError("lpd needs at least two primal channels")
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5e]))
+    def build(cls, variant, momentum, operator, unroll=None, **kwargs):
+        """Initialize a model; ``kwargs`` are the other ModelConfig fields."""
+        config = ModelConfig(variant, momentum, unroll, **kwargs)
+        unroll, width, kernel = config.unroll, config.width, config.kernel
+        n_primal, n_dual = config.n_primal, config.n_dual
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5e]))
         shared = variant == "lpgdsw"
         blocks = 1 if shared else unroll
         fused = momentum == "rma"
@@ -205,15 +216,13 @@ class UnrollModel:
         if momentum == "none":
             mom = NoMomentum()
         elif momentum == "ma":
-            mom = MomentumMA(gamma=gamma, eta=eta)
+            mom = MomentumMA(gamma=config.gamma, eta=config.eta)
         else:
             mom = RecurrentMomentum(LstmStack.create(
-                rng, input_size=operator.n, hidden_size=lstm_hidden,
-                layers=lstm_layers))
+                rng, input_size=operator.n, hidden_size=config.lstm_hidden,
+                layers=config.lstm_layers))
 
-        return cls(variant, momentum, unroll, operator, primal_nets,
-                   dual_nets, fusions, mom, n_primal, n_dual, width, kernel,
-                   lstm_layers, lstm_hidden, gamma, eta, int(seed))
+        return cls(config, operator, primal_nets, dual_nets, fusions, mom)
 
     def _block(self, seq, t):
         return seq[0] if len(seq) == 1 else seq[t]
@@ -271,9 +280,9 @@ class UnrollModel:
         op = self.operator
         batch = y_t.data.shape[0]
         x = Tensor(np.zeros((batch, op.n)))
-        mom_state = self.momentum_module.init_state()
+        mom_state = None
         self._snap(rec, "x", x)
-        for t in range(self.unroll):
+        for t in range(self.config.unroll):
             g = data_grad(op, x, y_t)
             d, mom_state = self.momentum_module.step(mom_state, g)
             self._snap(rec, "direction", d)
@@ -290,13 +299,13 @@ class UnrollModel:
     def _run_primal_dual(self, y_t, rec):
         op = self.operator
         batch = y_t.data.shape[0]
-        x = Tensor(np.zeros((batch, self.n_primal, op.n)))
-        u = Tensor(np.zeros((batch, self.n_dual, op.m)))
-        mom_state = self.momentum_module.init_state()
+        x = Tensor(np.zeros((batch, self.config.n_primal, op.n)))
+        u = Tensor(np.zeros((batch, self.config.n_dual, op.m)))
+        mom_state = None
         self._snap(rec, "x", x)
         self._snap(rec, "u", u)
         y_ch = _as_channel(y_t, batch, op.m)
-        for t in range(self.unroll):
+        for t in range(self.config.unroll):
             x2 = reshape(slice_channels(x, 1, 2), (batch, op.n))
             fx2 = forward(op, x2)
             dual_in = concat_channels([u, _as_channel(fx2, batch, op.m), y_ch])
@@ -316,10 +325,6 @@ class UnrollModel:
         return reshape(slice_channels(x, 0, 1), (batch, op.n))
 
 
-def count_params(model):
-    return model.count_params()
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -327,12 +332,7 @@ def save_model(model, path):
     """Write parameters plus the manifest needed to rebuild the model."""
     op = model.operator
     meta = {
-        "kind": "unroll-model",
-        "variant": model.variant, "momentum": model.momentum,
-        "unroll": model.unroll, "n_primal": model.n_primal,
-        "n_dual": model.n_dual, "width": model.width, "kernel": model.kernel,
-        "lstm_layers": model.lstm_layers, "lstm_hidden": model.lstm_hidden,
-        "gamma": model.gamma, "eta": model.eta, "seed": model.seed,
+        "kind": "unroll-model", **asdict(model.config),
         "op": {"a": op.a, "b": op.b, "n": op.n, "k": op.k,
                "stride": op.stride, "seed": op.seed,
                "fingerprint": op.fingerprint()},
@@ -356,11 +356,7 @@ def load_model(path):
     if op.fingerprint() != om["fingerprint"]:
         raise ValueError(f"{path}: operator fingerprint mismatch")
     model = UnrollModel.build(
-        meta["variant"], meta["momentum"], op, unroll=meta["unroll"],
-        width=meta["width"], kernel=meta["kernel"],
-        n_primal=meta["n_primal"], n_dual=meta["n_dual"],
-        lstm_layers=meta["lstm_layers"], lstm_hidden=meta["lstm_hidden"],
-        gamma=meta["gamma"], eta=meta["eta"], seed=meta["seed"])
+        operator=op, **{f.name: meta[f.name] for f in fields(ModelConfig)})
     expected = dict(model.named_params())
     if set(expected) != set(arrays):
         raise ValueError(f"{path}: checkpoint names do not match architecture")

@@ -156,9 +156,7 @@ def vjp(op, x, u):
     wgrads = _window_grads(op, x_data)
 
     def pull(g):
-        g_windows = np.stack(
-            [g[..., i * op.stride:i * op.stride + op.k] for i in range(op.m)],
-            axis=-2)
+        g_windows = op._windows(g)
         g_u = np.einsum("...mk,...mk->...m", g_windows, wgrads)
         contrib = (op.a * u_data[..., :, None]) * (g_windows @ op._w2sym)
         g_x = _scatter_windows(op, contrib, x_data.shape)

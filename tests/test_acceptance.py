@@ -221,7 +221,7 @@ def test_momentum_velocity_closed_form():
         steps = int(rng.integers(1, 51))
         gs = [rng.normal(size=(8,)) for _ in range(steps)]
         mom = MomentumMA(gamma=gamma, eta=eta)
-        state = mom.init_state()
+        state = None
         for g in gs:
             v, state = mom.step(state, Tensor(g))
         expansion = np.zeros(8)

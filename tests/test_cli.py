@@ -109,6 +109,22 @@ def test_train_fingerprint_conflict(tmp_path, data_dir):
 # ---------------------------------------------------------------------------
 # eval
 
+def test_eval_fingerprint_covers_dataset_noise(tmp_path, data_dir):
+    noisy = str(tmp_path / "noisy")
+    assert run("gen-data", "--a", "1", *TINY, "--seed", "0",
+               "--noise-sigma", "0.5", "--out", noisy) == 0
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    ckpt = os.path.join(out, run_dir, "checkpoint.bin")
+    results = str(tmp_path / "results.csv")
+    for data in (data_dir, noisy):
+        assert run("eval", "--checkpoint", ckpt, "--data", data,
+                   "--results", results) == 0
+    rows = read_rows(results)
+    assert len(rows) == 2 and rows[0]["fingerprint"] != rows[1]["fingerprint"]
+
+
 def test_eval_matches_training_record(tmp_path, data_dir, capsys):
     out = str(tmp_path / "runs")
     assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
@@ -205,12 +221,14 @@ def test_sweep_skips_completed_cells(tmp_path, capsys):
     assert "0 ran, 1 skipped" in capsys.readouterr().out
 
 
-def test_sweep_new_noise_level_gets_its_own_data_and_runs(tmp_path):
+def test_sweep_new_noise_level_gets_its_own_data_and_runs(tmp_path, capsys):
     out = str(tmp_path / "sweep")
     argv = ["sweep", "--kind", "a", "--grid", "1", "--models", "lpd",
             "--momenta", "none", "--seeds", "0", *SWEEP_FAST, "--out", out]
     assert run(*argv) == 0
+    capsys.readouterr()
     assert run(*argv, "--noise-sigma", "0.5") == 0
+    assert "1 ran, 0 skipped" in capsys.readouterr().out
     rows = read_rows(os.path.join(out, "results.csv"))
     assert len(rows) == 2 and rows[0]["fingerprint"] != rows[1]["fingerprint"]
     sigmas = set()
@@ -331,6 +349,21 @@ def test_fingerprints_differ_when_any_field_differs():
         changed[key] = value
         seen.add(fingerprint(changed))
     assert len(seen) == 15
+
+
+def test_train_fingerprint_golden(data_dir):
+    from dunets.cli import (_full_config, _train_config_from_args,
+                            build_parser, fingerprint)
+    from dunets.volterra import load_dataset
+    dataset = load_dataset(data_dir)
+    argv = ["train", "--model", "lpd", "--momentum", "rma", *FAST,
+            "--data", data_dir]
+    prints = []
+    for extra in ([], ["--train-fraction", "0.5"]):
+        args = build_parser().parse_args(argv + extra)
+        prints.append(fingerprint(_full_config(_train_config_from_args(args),
+                                               dataset)))
+    assert prints == ["60fc351c25c9205d", "9440601a35090703"]
 
 
 # ---------------------------------------------------------------------------

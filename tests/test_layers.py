@@ -7,8 +7,8 @@ import pytest
 from dunets.autodiff import Tensor, sum_all
 from dunets.gradcheck import check_op
 from dunets.layers import (Adam, Conv1dLayer, ConvStack, CosineSchedule,
-                           LstmCell, LstmStack, clip_global_norm, cosine_lr,
-                           global_norm, he_uniform, load_params, save_params)
+                           LstmCell, LstmStack, clip_global_norm, global_norm,
+                           he_uniform, load_params, save_params)
 
 
 def zero_cell(n, d):
@@ -308,7 +308,6 @@ def test_cosine_monotone_and_clamped():
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert sched.rate(38) == 0.0
     assert sched.rate(1000) == 0.0
-    assert cosine_lr(0, 1e-3, 10) == 1e-3
 
 
 def test_clip_scales_down_to_unit_norm():

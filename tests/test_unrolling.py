@@ -3,10 +3,10 @@ import pytest
 
 from dunets.autodiff import Tape, Tensor, backward, scale, sub, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
-from dunets.layers import Conv1dLayer
+from dunets.layers import Conv1dLayer, load_params
 from dunets.unrolling import (MOMENTA, VARIANTS, MomentumMA, UnrollModel,
-                              count_params, default_unroll, fuse_direction,
-                              load_model, ma_step, save_model)
+                              default_unroll, fuse_direction, load_model,
+                              save_model)
 from dunets.volterra import make_operator
 
 
@@ -25,9 +25,6 @@ class ScaledDirection:
     def __init__(self, factor):
         self.factor = factor
 
-    def init_state(self):
-        return None
-
     def step(self, state, g):
         return scale(g, self.factor), None
 
@@ -37,9 +34,6 @@ class ScaledDirection:
 
 class ZeroDirection:
     """Test double: always emit a zero direction."""
-
-    def init_state(self):
-        return None
 
     def step(self, state, g):
         return Tensor(np.zeros_like(g.data)), None
@@ -52,17 +46,19 @@ class ZeroDirection:
 # explicit momentum
 
 def test_ma_step_single_update():
-    v = np.zeros(4)
-    g = np.ones(4)
-    out = ma_step(v, g, gamma=0.9, eta=1e-3)
-    assert np.allclose(out, -1e-3 * np.ones(4), atol=0)
+    mom = MomentumMA(gamma=0.9, eta=1e-3)
+    for state in (None, Tensor(np.zeros(4))):
+        v, new_state = mom.step(state, Tensor(np.ones(4)))
+        assert np.allclose(v.data, -1e-3 * np.ones(4), atol=0)
+        assert new_state is v
 
 
 def test_ma_decays_geometrically_without_gradients():
-    v = np.array([1.0, -2.0])
+    mom = MomentumMA(gamma=0.9, eta=1e-3)
+    v = Tensor(np.array([1.0, -2.0]))
     for t in range(1, 6):
-        v = ma_step(v, np.zeros(2), gamma=0.9, eta=1e-3)
-        assert np.allclose(v, 0.9 ** t * np.array([1.0, -2.0]), rtol=1e-12)
+        v, _ = mom.step(v, Tensor(np.zeros(2)))
+        assert np.allclose(v.data, 0.9 ** t * np.array([1.0, -2.0]), rtol=1e-12)
 
 
 def closed_form_velocity(gs, gamma, eta):
@@ -81,7 +77,7 @@ def test_ma_matches_closed_form_expansion(rng):
         steps = rng.integers(1, 50)
         gs = [rng.normal(size=(6,)) for _ in range(steps)]
         mom = MomentumMA(gamma=gamma, eta=eta)
-        state = mom.init_state()
+        state = None
         for g in gs:
             v, state = mom.step(state, Tensor(g))
         assert np.max(np.abs(v.data - closed_form_velocity(gs, gamma, eta))) <= 1e-12
@@ -338,8 +334,8 @@ def test_parameter_parity_between_momentum_variants():
 
 def test_count_params_equals_sum_of_sizes(tiny_op):
     model = mini_model("lpd", "rma", tiny_op)
-    assert count_params(model) == sum(t.data.size for _, t in model.named_params())
-    assert count_params(model) > 0
+    assert model.count_params() == sum(t.data.size for _, t in model.named_params())
+    assert model.count_params() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +407,21 @@ def test_model_checkpoint_roundtrip(tmp_path, tiny_op, rng):
     save_model(loaded, str(tmp_path / "model2.bin"))
     with open(path, "rb") as fh_a, open(tmp_path / "model2.bin", "rb") as fh_b:
         assert fh_a.read() == fh_b.read()
+
+
+def test_checkpoint_meta_golden(tmp_path, tiny_op):
+    model = mini_model("lpd", "rma", tiny_op, unroll=2, seed=21)
+    path = str(tmp_path / "model.bin")
+    save_model(model, path)
+    _, meta = load_params(path)
+    assert meta == {
+        "kind": "unroll-model", "variant": "lpd", "momentum": "rma",
+        "unroll": 2, "n_primal": 2, "n_dual": 2, "width": 4, "kernel": 3,
+        "lstm_layers": 1, "lstm_hidden": 5, "gamma": 0.9, "eta": 0.001,
+        "seed": 21,
+        "op": {"a": 1.0, "b": 0.0, "n": 11, "k": 5, "stride": 3, "seed": 7,
+               "fingerprint": "62cf2592cc63d3e5"},
+    }
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path, tiny_op):
