@@ -8,10 +8,16 @@ constants and cost nothing extra, so inference reuses the same code paths.
 Operations accept either the exact shapes they document or the same shapes
 with one extra leading batch axis; gradients of broadcast operands are
 reduced over the added axes.
+
+Memory layout: feature maps have the *shape* (B, C, N), but conv1d returns
+them, and its input gradient, channel-major in *memory*: a free transpose
+view of a (C, B, N) array.  Elementwise ops, ``np.copy`` and
+``np.concatenate`` keep that layout, so the next conv reads its input
+without a copy.  No value depends on the layout: the reductions whose order
+it could change (``sum_all``, the PReLU slope gradient) fix their order.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -225,13 +231,13 @@ def neg(a):
 
 
 def sum_all(a):
-    """Sum of all entries, as a scalar tensor."""
+    """Sum of all entries in C order, as a scalar tensor, whatever the layout."""
     a = as_tensor(a)
 
     def pull(g):
         return (np.full_like(a.data, float(g)),)
 
-    return record_op(a.data.sum(), (a,), pull)
+    return record_op(np.ascontiguousarray(a.data).sum(), (a,), pull)
 
 
 def reshape(a, shape):
@@ -269,14 +275,24 @@ def _im2col(xb, k):
 
     Row ``c·k + j``, column ``b·N + m`` holds ``xb[b, c, m + j - k//2]``
     (zero outside the signal), so a ``(C_out, C·k)`` kernel matrix times the
-    columns correlates the whole batch in one GEMM.
+    columns correlates the whole batch in one GEMM.  The columns are filled
+    from ``xb.transpose(1, 0, 2)``, a free view of a channel-major batch, by
+    k shifted slice copies whose uncovered edges are zeroed; no padded copy
+    of the input is made.
     """
     b_sz, c, n = xb.shape
     pad = k // 2
-    xp = np.zeros((c, b_sz, n + 2 * pad))
-    xp[:, :, pad:pad + n] = xb.transpose(1, 0, 2)
-    windows = sliding_window_view(xp, n, axis=2)  # (C, B, k, N)
-    return windows.transpose(0, 2, 1, 3).reshape(c * k, b_sz * n)
+    xc = xb.transpose(1, 0, 2)
+    cols = np.empty((c, k, b_sz, n))
+    for j in range(k):
+        # output positions [lo, hi) read input positions [lo + j - pad, hi + j - pad)
+        lo = min(n, max(0, pad - j))
+        hi = max(lo, min(n, n + pad - j))
+        tap = cols[:, j]
+        tap[:, :, lo:hi] = xc[:, :, lo + j - pad:hi + j - pad]
+        tap[:, :, :lo] = 0.0
+        tap[:, :, hi:] = 0.0
+    return cols.reshape(c * k, b_sz * n)
 
 
 def conv1d(x, kernel, bias):
@@ -291,6 +307,10 @@ def conv1d(x, kernel, bias):
     the flipped, transposed kernel, again one im2col and one GEMM.  The tape
     keeps no column buffer; the pull rebuilds the input's columns from the
     input array, which the record already holds.
+
+    A batched output, like the input gradient, is the channel-major GEMM
+    result seen through a free transpose.  Each GEMM result is allocated
+    before its columns, so the short-lived column block is freed above it.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.data.ndim != 3:
@@ -308,20 +328,22 @@ def conv1d(x, kernel, bias):
     xb = x.data if batched else x.data[None]
     kdata = kernel.data
     b_sz, _, n = xb.shape
-    out = kdata.reshape(c_out, c_in * k) @ _im2col(xb, k)
+    out = np.empty((c_out, b_sz * n))
+    np.matmul(kdata.reshape(c_out, c_in * k), _im2col(xb, k), out=out)
     out += bias.data[:, None]
     out = out.reshape(c_out, b_sz, n).transpose(1, 0, 2)
-    out = np.ascontiguousarray(out) if batched else out[0]
 
     def pull(g):
         gb = g if batched else g[None]
         g_t = gb.transpose(1, 0, 2).reshape(c_out, b_sz * n)
         g_kernel = (g_t @ _im2col(xb, k).T).reshape(kdata.shape)
         kflip = kdata[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-        g_x = (kflip @ _im2col(gb, k)).reshape(c_in, b_sz, n).transpose(1, 0, 2)
+        g_x = np.empty((c_in, b_sz * n))
+        np.matmul(kflip, _im2col(gb, k), out=g_x)
+        g_x = g_x.reshape(c_in, b_sz, n).transpose(1, 0, 2)
         return (g_x if batched else g_x[0]), g_kernel, g_t.sum(axis=1)
 
-    return record_op(out, (x, kernel, bias), pull)
+    return record_op(out if batched else out[0], (x, kernel, bias), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +400,10 @@ def prelu(x, slope):
     def pull(g):
         neg = xd < 0
         g_x = g * (neg * s + ~neg)
-        g_s = (g * np.minimum(xd, 0.0)).sum(
-            axis=tuple(i for i in range(xd.ndim) if i != xd.ndim - 2))
+        # rows over N, then samples in order, whatever the memory layout
+        g_s = (g * np.minimum(xd, 0.0)).sum(axis=-1)
+        if g_s.ndim == 2:
+            g_s = np.ascontiguousarray(g_s).sum(axis=0)
         return g_x, g_s
 
     return record_op(out, (x, slope), pull)
@@ -406,8 +430,7 @@ def concat_channels(parts):
     splits = np.cumsum(sizes)[:-1]
 
     def pull(g):
-        return tuple(np.ascontiguousarray(piece)
-                     for piece in np.split(g, splits, axis=-2))
+        return tuple(np.split(g, splits, axis=-2))
 
     return record_op(out, tuple(parts), pull)
 
@@ -417,7 +440,7 @@ def slice_channels(x, lo, hi):
     x = as_tensor(x)
     if x.data.ndim not in (2, 3) or not (0 <= lo < hi <= x.data.shape[-2]):
         raise ShapeError(f"slice_channels: [{lo}:{hi}) invalid for {x.data.shape}")
-    out = x.data[..., lo:hi, :].copy()
+    out = np.copy(x.data[..., lo:hi, :])  # keeps the memory layout
 
     def pull(g):
         g_x = np.zeros_like(x.data)

@@ -232,7 +232,8 @@ def cmd_eval(args):
     if args.results:
         config = {column: getattr(model.config, field)
                   for column, field in MODEL_COLUMNS.items()}
-        config.update(_dataset_fields(dataset, len(dataset.splits["train"][0])))
+        config.update(_dataset_fields(dataset, len(dataset.splits["train"][0])),
+                      split=args.split)
         record = {"fingerprint": fingerprint(config), "config": config,
                   "mse_mean": stats.mean, "mse_std": stats.std}
         _append_result(args.results, _row_from_record(record, args.split))

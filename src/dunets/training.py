@@ -148,7 +148,7 @@ def train(model, dataset, config, train_override=None):
             opt.step(clipped, lr)
             history.steps.append((step, epoch, lr, loss_value))
             step += 1
-        val = evaluate(model, x_val, y_val).mean
+        val = evaluate(model, x_val, y_val, batch_size=config.batch_size).mean
         history.val_losses.append(val)
         history.epoch_seconds.append(time.perf_counter() - tic)
         if val < history.best_val:

@@ -249,20 +249,28 @@ def gen_dataset(a, counts=(10000, 1000, 1000), seed=0, n=53, k=9, stride=4,
 
 
 def save_dataset(ds, out_dir, force=False):
-    """Persist a dataset: key=value manifest plus raw little-endian arrays."""
+    """Persist a dataset: raw little-endian arrays plus a key=value manifest.
+
+    A present manifest marks a finished dataset, so it is removed first and
+    written last, through a temp file and ``os.replace``: an interrupted
+    write leaves no manifest over missing or truncated arrays.
+    """
     manifest_path = os.path.join(out_dir, "manifest.txt")
-    if os.path.exists(manifest_path) and not force:
-        raise FileExistsError(f"{out_dir} already holds a dataset (use force)")
+    if os.path.exists(manifest_path):
+        if not force:
+            raise FileExistsError(f"{out_dir} already holds a dataset (use force)")
+        os.remove(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
-    lines = [f"{key}={value}" for key, value in ds.manifest().items()]
-    with open(manifest_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
     for name in SPLITS:
         x, y = ds.splits[name]
         for tag, arr in (("x", x), ("y", y)):
             raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
             with open(os.path.join(out_dir, f"{name}_{tag}.f64"), "wb") as fh:
                 fh.write(raw)
+    lines = [f"{key}={value}" for key, value in ds.manifest().items()]
+    with open(manifest_path + ".tmp", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(manifest_path + ".tmp", manifest_path)
 
 
 def load_dataset(in_dir):

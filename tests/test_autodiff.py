@@ -164,7 +164,8 @@ def test_conv1d_random_matches_oracle(rng):
         expected = (conv_oracle(x, kernel, bias) if x.ndim == 2 else
                     np.stack([conv_oracle(xi, kernel, bias) for xi in x]))
         assert out.shape == expected.shape
-        assert out.flags.c_contiguous
+        # batched outputs are channel-major: (B, C, N) shape, (C, B, N) memory
+        assert (out.transpose(1, 0, 2) if out.ndim == 3 else out).flags.c_contiguous
         assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -263,6 +264,40 @@ def test_prelu_matches_masked_select_oracle_bitwise(rng):
         assert np.array_equal(out.data, np.where(neg, x * s, x))
         assert np.array_equal(grads[xt], np.where(neg, g * s, g))
         assert np.array_equal(grads[st], (g * x * neg).sum(axis=axes))
+
+
+def channel_major(a):
+    """The same (B, C, N) values held in (C, B, N) memory order."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def test_feature_ops_are_bitwise_layout_independent(rng):
+    # prelu -> concat -> conv1d -> slice, plus a direct read of the prelu
+    # output; every value and gradient must not depend on the memory layout
+    b_sz, c, n = 12, 3, 53  # B >= 8: numpy sums 8+ contiguous values pairwise
+    for _ in range(20):
+        x = rng.normal(size=(b_sz, c, n))
+        x.reshape(-1)[::7] = 0.0
+        other = rng.normal(size=(b_sz, 2, n))
+        u_conv, u_act = rng.normal(size=(b_sz, 3, n)), rng.normal(size=(b_sz, c, n))
+        slope = rng.uniform(-0.5, 1.5, size=c)
+        kernel, bias = rng.normal(size=(5, c + 2, 3)), rng.normal(size=5)
+        results = []
+        for layout in (np.ascontiguousarray, channel_major):
+            xt, ot = Tensor(layout(x)), Tensor(layout(other))
+            st, kt, bt = Tensor(slope), Tensor(kernel), Tensor(bias)
+            with Tape() as tape:
+                tape.watch(xt, ot, st, kt, bt)
+                h = prelu(xt, st)
+                out = conv1d(concat_channels([h, ot]), kt, bt)
+                loss = add(sum_all(mul(slice_channels(out, 1, 4), Tensor(layout(u_conv)))),
+                           sum_all(mul(h, Tensor(layout(u_act)))))
+                grads = backward(loss, [xt, ot, st, kt, bt])
+            results.append([h.data, out.data, loss.data]
+                           + [grads[t] for t in (xt, ot, st, kt, bt)])
+        assert not channel_major(x).flags.c_contiguous
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

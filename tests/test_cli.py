@@ -3,6 +3,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from dunets.cli import main
@@ -123,6 +124,20 @@ def test_eval_fingerprint_covers_dataset_noise(tmp_path, data_dir):
                    "--results", results) == 0
     rows = read_rows(results)
     assert len(rows) == 2 and rows[0]["fingerprint"] != rows[1]["fingerprint"]
+
+
+def test_eval_fingerprint_covers_split(tmp_path, data_dir):
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    ckpt = os.path.join(out, run_dir, "checkpoint.bin")
+    results = str(tmp_path / "results.csv")
+    for split in ("val", "test"):
+        assert run("eval", "--checkpoint", ckpt, "--data", data_dir,
+                   "--split", split, "--results", results) == 0
+    rows = read_rows(results)
+    assert [r["split"] for r in rows] == ["val", "test"]
+    assert rows[0]["fingerprint"] != rows[1]["fingerprint"]
 
 
 def test_eval_matches_training_record(tmp_path, data_dir, capsys):
@@ -331,6 +346,36 @@ def test_sweep_reports_failed_cells_and_exits_nonzero(tmp_path, monkeypatch, cap
     # the healthy cell still landed in the results
     rows = read_rows(os.path.join(out, "results.csv"))
     assert len(rows) == 1 and rows[0]["momentum"] == "none"
+
+
+def test_interrupted_dataset_write_leaves_no_manifest(tmp_path, monkeypatch):
+    import dunets.volterra as volterra
+    from dunets.cli import _dataset_cache
+
+    gen_kwargs = {"a": 1.0, "counts": (24, 8, 8), "seed": 0}
+    root = str(tmp_path / "sweep")
+    path = _dataset_cache(root, **gen_kwargs)
+    expected = volterra.load_dataset(path)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith("val_y.f64"):
+            open(file, mode).close()  # truncated, as by a kill mid-write
+            raise OSError("synthetic write failure")
+        return open(file, mode, *args, **kwargs)
+
+    # rewrite the finished dataset and fail half-way through its arrays
+    monkeypatch.setattr(volterra, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="synthetic"):
+        volterra.save_dataset(volterra.gen_dataset(**gen_kwargs), path, force=True)
+    monkeypatch.undo()
+    assert not os.path.exists(os.path.join(path, "manifest.txt"))
+
+    assert _dataset_cache(root, **gen_kwargs) == path
+    reloaded = volterra.load_dataset(path)
+    assert reloaded.manifest() == expected.manifest()
+    for split in volterra.SPLITS:
+        for a, b in zip(reloaded.splits[split], expected.splits[split]):
+            assert np.array_equal(a, b)
 
 
 def test_fingerprints_differ_when_any_field_differs():

@@ -122,6 +122,21 @@ def test_returned_parameters_are_best_validation_epoch(tiny_dataset):
     assert history.best_val <= history.val_losses[-1]
 
 
+def test_validation_runs_in_training_size_batches(tiny_dataset):
+    model = tiny_model(tiny_dataset, unroll=2)
+    sizes = []
+    reconstruct = model.reconstruct
+
+    def spying_reconstruct(y, *args, **kwargs):
+        sizes.append(len(y))
+        return reconstruct(y, *args, **kwargs)
+
+    model.reconstruct = spying_reconstruct
+    train(model, tiny_dataset, TrainConfig(epochs=1, batch_size=5, seed=0))
+    # 48 training samples in batches of 5, then the 12 validation samples
+    assert sizes == [5] * 9 + [3] + [5, 5, 2]
+
+
 def test_operator_fingerprint_guard(tiny_dataset):
     other = make_operator(1.0, seed=99, n=11, k=5, stride=3)
     model = UnrollModel.build("lpgd", "none", other, unroll=2, width=4)
