@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .atomic import atomic_write
 from .training import (TrainConfig, TrainingDiverged, evaluate,
                        subsample_train, train)
 from .unrolling import (MOMENTA, VARIANTS, ModelConfig, UnrollModel,
@@ -90,7 +91,7 @@ def _read_results(path):
 def _sort_results(path):
     rows = _read_results(path)
     rows.sort(key=lambda r: r["fingerprint"])
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
@@ -189,7 +190,7 @@ def _train_one(config, data_dir, out_root, force=False, reuse=False):
         "runtime_s": runtime, "started": started,
         "checkpoint": ckpt_path, "history": hist_path,
     }
-    with open(record_path, "w") as fh:
+    with atomic_write(record_path) as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
     return _row_from_record(record)
 

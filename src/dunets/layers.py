@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import (Tensor, add, conv1d, matvec, mul, prelu, sigmoid,
                        tanh)
 
@@ -277,6 +278,7 @@ def save_params(path, named_arrays, meta=None):
 
     The header records (name, shape, offset) per tensor; the payload is the
     little-endian float64 bytes in header order.  Round-trips bit-exactly.
+    The file is replaced whole, so an interrupted save keeps the old one.
     """
     entries = []
     chunks = []
@@ -288,7 +290,7 @@ def save_params(path, named_arrays, meta=None):
         chunks.append(raw)
         offset += len(raw)
     header = {"format": _MAGIC, "meta": meta or {}, "tensors": entries}
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for raw in chunks:

@@ -10,20 +10,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import ShapeError, Tape, Tensor, backward, mul, scale, sub, sum_all
 from .layers import Adam, CosineSchedule, clip_global_norm
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradient norm became non-finite; carries step, rate and norm."""
+    """A loss, gradient norm or validation loss became non-finite.
 
-    def __init__(self, step, lr, grad_norm):
+    Carries the step, rate and gradient norm of the last step taken or
+    attempted, and ``epoch`` when the validation loss diverged.
+    """
+
+    def __init__(self, step, lr, grad_norm, epoch=None):
+        what = "loss or gradient" if epoch is None else \
+            f"validation loss after epoch {epoch}"
         super().__init__(
-            f"non-finite loss or gradient at step {step} "
+            f"non-finite {what} at step {step} "
             f"(lr={lr:.3e}, grad_norm={grad_norm})")
         self.step = step
         self.lr = lr
         self.grad_norm = grad_norm
+        self.epoch = epoch
 
 
 @dataclass
@@ -54,7 +62,7 @@ class TrainHistory:
 
     def to_csv(self, path):
         steps_per_epoch = len(self.steps) // max(len(self.val_losses), 1)
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("step,epoch,lr,train_loss,val_loss\n")
             for step, epoch, lr, loss in self.steps:
                 last_of_epoch = (step + 1) % steps_per_epoch == 0
@@ -149,6 +157,9 @@ def train(model, dataset, config, train_override=None):
             history.steps.append((step, epoch, lr, loss_value))
             step += 1
         val = evaluate(model, x_val, y_val, batch_size=config.batch_size).mean
+        # a NaN never compares below best_val, so it would pass silently
+        if not np.isfinite(val):
+            raise TrainingDiverged(step - 1, lr, norm, epoch=epoch)
         history.val_losses.append(val)
         history.epoch_seconds.append(time.perf_counter() - tic)
         if val < history.best_val:

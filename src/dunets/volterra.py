@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import ShapeError, Tensor, record_op, sub
 
 
@@ -178,17 +179,30 @@ def data_grad(op, x, y_obs):
 # ---------------------------------------------------------------------------
 # data generation
 
-def sample_tv_prior(n, scale=0.1, seed=None, rng=None):
-    """Piecewise-constant-favoring draw: a mean-centered Laplace random walk."""
+def _tv_walks(n, scale, count, rngs):
+    """``count`` mean-centered Laplace random walks of length n, as rows.
+
+    Row i starts at 0 and takes n-1 steps drawn from the i-th generator that
+    ``rngs`` yields; the cumsum and the centring run once over all rows.
+    """
     if n < 2:
         raise ValueError("need at least two grid points")
     if scale <= 0:
         raise ValueError("scale must be positive")
+    x = np.empty((count, n))
+    x[:, 0] = 0.0
+    for row, rng in zip(x, rngs):
+        row[1:] = rng.laplace(0.0, scale, size=n - 1)
+    np.cumsum(x[:, 1:], axis=1, out=x[:, 1:])
+    x -= x.mean(axis=1, keepdims=True)
+    return x
+
+
+def sample_tv_prior(n, scale=0.1, seed=None, rng=None):
+    """Piecewise-constant-favoring draw: a mean-centered Laplace random walk."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    steps = rng.laplace(0.0, scale, size=n - 1)
-    x = np.concatenate([[0.0], np.cumsum(steps)])
-    return x - x.mean()
+    return _tv_walks(n, scale, 1, [rng])[0]
 
 
 SPLITS = ("train", "val", "test")
@@ -235,10 +249,8 @@ def gen_dataset(a, counts=(10000, 1000, 1000), seed=0, n=53, k=9, stride=4,
     op = make_operator(a, seed=seed, n=n, k=k, stride=stride)
     splits = {}
     for si, (name, count) in enumerate(zip(SPLITS, counts)):
-        x = np.empty((count, n))
-        for i in range(count):
-            x[i] = sample_tv_prior(n, scale=tv_scale,
-                                   rng=_sample_rng(seed, si, i, 1))
+        x = _tv_walks(n, tv_scale, count,
+                      (_sample_rng(seed, si, i, 1) for i in range(count)))
         y = _measure(op, x)
         if noise_sigma > 0.0:
             for i in range(count):
@@ -252,8 +264,8 @@ def save_dataset(ds, out_dir, force=False):
     """Persist a dataset: raw little-endian arrays plus a key=value manifest.
 
     A present manifest marks a finished dataset, so it is removed first and
-    written last, through a temp file and ``os.replace``: an interrupted
-    write leaves no manifest over missing or truncated arrays.
+    written last, whole (``atomic_write``): an interrupted write leaves no
+    manifest over missing or truncated arrays.
     """
     manifest_path = os.path.join(out_dir, "manifest.txt")
     if os.path.exists(manifest_path):
@@ -268,9 +280,8 @@ def save_dataset(ds, out_dir, force=False):
             with open(os.path.join(out_dir, f"{name}_{tag}.f64"), "wb") as fh:
                 fh.write(raw)
     lines = [f"{key}={value}" for key, value in ds.manifest().items()]
-    with open(manifest_path + ".tmp", "w") as fh:
+    with atomic_write(manifest_path) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(manifest_path + ".tmp", manifest_path)
 
 
 def load_dataset(in_dir):

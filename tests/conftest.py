@@ -21,3 +21,40 @@ def rng():
 def tiny_op():
     # 3 windows of size 5 at stride 3 over an 11-point signal
     return make_operator(1.0, seed=7, n=11, k=5, stride=3)
+
+
+class _TornFile:
+    """A file whose first write stops half-way and raises, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError("synthetic torn write")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+
+@pytest.fixture
+def torn_writes(monkeypatch):
+    """Names of files whose writes through ``atomic_write`` tear; add to arm."""
+    import dunets.atomic as atomic
+
+    names = set()
+
+    def torn_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        base = os.path.basename(file)
+        return _TornFile(fh) if base.removesuffix(".tmp") in names else fh
+
+    monkeypatch.setattr(atomic, "open", torn_open, raising=False)
+    return names

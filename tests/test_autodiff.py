@@ -148,6 +148,8 @@ CONV_SHAPES = [
     (4, 2, 6, 3, 3),
     (3, 3, 9, 2, 5),
     (2, 2, 4, 1, 1),
+    (64, 2, 5, 3, 3),     # two whole 32-sample column blocks
+    (41, 3, 4, 2, 3),     # a whole block and a ragged one
 ]
 
 

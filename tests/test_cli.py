@@ -107,6 +107,29 @@ def test_train_fingerprint_conflict(tmp_path, data_dir):
     assert run(*argv, "--force") == 0
 
 
+def test_interrupted_record_write_leaves_old_record_or_none(tmp_path, data_dir,
+                                                            torn_writes):
+    out = str(tmp_path / "runs")
+    argv = ["train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out]
+    torn_writes.add("record.json")
+    with pytest.raises(OSError, match="torn"):
+        run(*argv)
+    (run_dir,) = os.listdir(out)
+    assert "record.json" not in os.listdir(os.path.join(out, run_dir))
+    torn_writes.clear()
+    assert run(*argv) == 0  # no half-written record to trust or trip over
+    record_path = os.path.join(out, run_dir, "record.json")
+    with open(record_path) as fh:
+        before = fh.read()
+    torn_writes.add("record.json")
+    with pytest.raises(OSError, match="torn"):
+        run(*argv, "--force")
+    with open(record_path) as fh:
+        assert fh.read() == before
+    assert sorted(os.listdir(os.path.join(out, run_dir))) == [
+        "checkpoint.bin", "history.csv", "record.json"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -423,6 +446,24 @@ def seed_results_csv(path):
         row = dict(base)
         row.update({"fingerprint": f"f{seed}", "seed": seed, "mse_mean": value})
         _append_result(path, row)
+
+
+def test_interrupted_results_sort_keeps_every_row(tmp_path, torn_writes):
+    from dunets.cli import _append_result, _sort_results
+    path = str(tmp_path / "results.csv")
+    seed_results_csv(path)
+    _append_result(path, {**read_rows(path)[0], "fingerprint": "a0"})
+    with open(path) as fh:
+        before = fh.read()
+    torn_writes.add("results.csv")
+    with pytest.raises(OSError, match="torn"):
+        _sort_results(path)
+    with open(path) as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["results.csv"]
+    torn_writes.clear()
+    _sort_results(path)
+    assert [r["fingerprint"] for r in read_rows(path)] == ["a0", "f0", "f1", "f2"]
 
 
 def test_report_aggregates_mean_and_sample_std(tmp_path):

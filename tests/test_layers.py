@@ -385,6 +385,19 @@ def test_params_roundtrip_bit_exact(tmp_path, rng):
         assert loaded[name].tobytes() == np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
+def test_interrupted_save_params_keeps_old_file(tmp_path, rng, torn_writes):
+    path = os.path.join(tmp_path, "params.bin")
+    old = [("w", rng.normal(size=(3, 4)))]
+    save_params(path, old, meta={"note": "old"})
+    torn_writes.add("params.bin")
+    with pytest.raises(OSError, match="torn"):
+        save_params(path, [("w", rng.normal(size=(5, 4)))], meta={"note": "new"})
+    loaded, meta = load_params(path)
+    assert meta == {"note": "old"}
+    assert np.array_equal(loaded["w"], old[0][1])
+    assert os.listdir(tmp_path) == ["params.bin"]
+
+
 def test_params_file_rejects_garbage(tmp_path):
     path = os.path.join(tmp_path, "bad.bin")
     with open(path, "wb") as fh:

@@ -175,6 +175,28 @@ def test_nan_gradient_with_finite_loss_leaves_parameters_untouched(
         assert np.array_equal(p.data, b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_validation_loss_raises_with_epoch(tiny_dataset, monkeypatch,
+                                                     bad):
+    original = training.evaluate
+    calls = []
+
+    def evaluate_second_epoch_bad(model, x, y, batch_size=256):
+        calls.append(len(x))
+        stats = original(model, x, y, batch_size=batch_size)
+        return stats if len(calls) == 1 else training.EvalStats(
+            mean=bad, std=bad, per_sample=np.full(len(x), bad))
+
+    monkeypatch.setattr(training, "evaluate", evaluate_second_epoch_bad)
+    model = tiny_model(tiny_dataset, unroll=2)
+    with pytest.raises(TrainingDiverged,
+                       match="validation loss after epoch 1") as excinfo:
+        train(model, tiny_dataset, TrainConfig(epochs=3, batch_size=8, seed=0))
+    assert excinfo.value.epoch == 1
+    assert excinfo.value.step == 11  # 48 samples in batches of 8: 6 per epoch
+    assert calls == [12, 12]
+
+
 def test_gradient_norm_fed_to_adam_never_exceeds_clip(tiny_dataset, monkeypatch):
     seen = []
     original = layers.Adam.step

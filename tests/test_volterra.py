@@ -1,11 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from dunets.autodiff import ShapeError, Tape, Tensor, backward, mul, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
-from dunets.volterra import (VolterraOperator, data_grad, forward,
-                             gen_dataset, load_dataset, make_operator,
-                             sample_tv_prior, save_dataset, vjp)
+from dunets.volterra import (SPLITS, VolterraOperator, _sample_rng,
+                             data_grad, forward, gen_dataset, load_dataset,
+                             make_operator, sample_tv_prior, save_dataset, vjp)
 
 
 def forward_oracle(op, x):
@@ -307,6 +309,37 @@ def test_gen_dataset_noise_flag(rng):
                         noise_sigma=0.05)
     assert np.array_equal(clean.splits["train"][0], noisy.splits["train"][0])
     assert not np.array_equal(clean.splits["train"][1], noisy.splits["train"][1])
+
+
+def _walk_oracle(rng, n, scale):
+    # one sample's walk on its own: concatenate, cumsum, centre
+    x = np.concatenate([[0.0], np.cumsum(rng.laplace(0.0, scale, size=n - 1))])
+    return x - x.mean()
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+def test_gen_dataset_rows_equal_per_sample_prior_bytewise(noise_sigma):
+    counts, seed, scale = (40, 9, 7), 62, 0.2
+    ds = gen_dataset(1.0, counts=counts, seed=seed, tv_scale=scale,
+                     noise_sigma=noise_sigma)
+    for si, (name, count) in enumerate(zip(SPLITS, counts)):
+        x = ds.splits[name][0]
+        for i in (0, count // 2, count - 1):
+            row = sample_tv_prior(53, scale, rng=_sample_rng(seed, si, i, 1))
+            oracle = _walk_oracle(_sample_rng(seed, si, i, 1), 53, scale)
+            assert x[i].tobytes() == row.tobytes() == oracle.tobytes()
+
+
+def test_interrupted_manifest_write_leaves_no_manifest(tmp_path, torn_writes):
+    ds = gen_dataset(1.0, counts=(5, 3, 2), seed=9, n=11, k=5, stride=3)
+    out = str(tmp_path / "ds")
+    save_dataset(ds, out)
+    torn_writes.add("manifest.txt")
+    with pytest.raises(OSError, match="torn"):
+        save_dataset(ds, out, force=True)
+    assert not any(f.startswith("manifest") for f in os.listdir(out))
+    with pytest.raises(FileNotFoundError):
+        load_dataset(out)
 
 
 def test_dataset_roundtrip_bit_exact(tmp_path):
