@@ -15,7 +15,18 @@ view of a (C, B, N) array.  Elementwise ops, ``np.copy`` and
 ``np.concatenate`` keep that layout, so the next conv reads its input
 without a copy.  No value depends on the layout: the reductions whose order
 it could change (``sum_all``, the PReLU slope gradient) fix their order.
+
+Two lanes: a batch of more than ``_TILE`` samples, on a host whose CPU
+affinity holds at least two CPUs, runs conv1d's column blocks and the PReLU
+forward's channel chunks on the calling thread and one helper thread
+(``_blockwise``).  Each block is a single-threaded numpy pass that writes
+its own slice of the output, with the same block boundaries either way, so
+no value depends on which lane ran it or on the host's CPU count.  Only
+numpy kernels run on the helper; every op, ``record_op`` and the tape run
+on the calling thread.
 """
+
+import os
 
 import numpy as np
 
@@ -300,20 +311,80 @@ def _im2col(xb, k):
 # 2 MiB L2 cache while its GEMM reads it; a whole B=256 batch takes 10.4 MB.
 _TILE = 32
 
+_helper = None  # the second lane's one-thread executor, made on first use
 
-def _correlate(kmat, xb, k):
-    """``kmat @ _im2col(xb, k)`` as a (C_out, B, N) array.
+
+def _drop_helper():
+    # a forked child inherits the executor but not its thread
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _cpus():
+    """CPUs this process may run on (1 where the OS cannot say, as on macOS)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _blockwise(fn, edges):
+    """Run ``fn(lo, hi)`` for each pair of consecutive ``edges``.
+
+    With more than one block and at least two CPUs in this process's
+    affinity, the calling thread and one helper thread each claim the next
+    unclaimed block until none are left, so a stalled lane only leaves more
+    blocks to the other.  The blocks must be independent numpy work writing
+    disjoint outputs.  The caller returns or raises only once the helper has
+    finished or was cancelled before it started.
+    """
+    global _helper
+    # next() on a list iterator is one C call under the GIL, so a claim is
+    # atomic; and an exhausted list iterator drops its list, so a cancelled
+    # hand-off still queued for a starved helper holds no block's arrays.
+    claims = iter([(fn, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
+
+    def drain():
+        for block, lo, hi in claims:
+            block(lo, hi)
+
+    if len(edges) <= 2 or _cpus() < 2:
+        drain()
+        return
+    if _helper is None:
+        # imported here: a process that never runs two lanes never loads it
+        from concurrent.futures import ThreadPoolExecutor
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dunets-lane")
+    lane = _helper.submit(drain)
+    try:
+        drain()
+    finally:
+        if not lane.cancel():
+            lane.exception()  # waits for the helper without raising
+    if not lane.cancelled():
+        lane.result()  # raises the helper's exception, if any
+
+
+def _correlate(kmat, xb, k, bias=None):
+    """``kmat @ _im2col(xb, k)`` (plus ``bias`` per row) as a (C_out, B, N) array.
 
     The columns are built and multiplied _TILE samples at a time, each GEMM
     writing its own column range of one result allocated up front, so the
     long-lived result sits below the short-lived column blocks.  Up to
-    _TILE samples this is a single GEMM.
+    _TILE samples this is a single GEMM; above it the blocks run on two
+    lanes (``_blockwise``).
     """
     b_sz, _, n = xb.shape
     out = np.empty((kmat.shape[0], b_sz * n))
-    for lo in range(0, b_sz, _TILE):
-        hi = min(lo + _TILE, b_sz)
-        np.matmul(kmat, _im2col(xb[lo:hi], k), out=out[:, lo * n:hi * n])
+
+    def block(lo, hi):
+        part = out[:, lo * n:hi * n]
+        np.matmul(kmat, _im2col(xb[lo:hi], k), out=part)
+        if bias is not None:
+            part += bias[:, None]
+
+    _blockwise(block, [*range(0, b_sz, _TILE), b_sz])
     return out.reshape(-1, b_sz, n)
 
 
@@ -350,8 +421,7 @@ def conv1d(x, kernel, bias):
     xb = x.data if batched else x.data[None]
     kdata = kernel.data
     b_sz, _, n = xb.shape
-    out = _correlate(kdata.reshape(c_out, c_in * k), xb, k)
-    out += bias.data[:, None, None]
+    out = _correlate(kdata.reshape(c_out, c_in * k), xb, k, bias.data)
     out = out.transpose(1, 0, 2)
 
     def pull(g):
@@ -403,7 +473,9 @@ def prelu(x, slope):
     Branch-free: ``s·min(x, 0) + max(x, 0)`` and the gradient factor
     ``neg·s + ~neg`` round exactly like a masked select, because one term of
     each sum is an exact zero.  The pull recomputes the sign mask from the
-    input array, which the record already holds.
+    input array, which the record already holds.  The output keeps the
+    input's memory layout.  A batch of more than _TILE samples is computed
+    in one channel chunk per _TILE samples, on two lanes (``_blockwise``).
     """
     x, slope = as_tensor(x), as_tensor(slope)
     if x.data.ndim not in (2, 3):
@@ -413,9 +485,16 @@ def prelu(x, slope):
         raise ShapeError(f"prelu: slope shape {slope.data.shape} != ({c},)")
     xd = x.data
     s = slope.data[:, None]
-    out = np.minimum(xd, 0.0)
-    out *= s
-    out += np.maximum(xd, 0.0)
+    out = np.empty_like(xd)
+
+    def chunk(lo, hi):
+        part = out[..., lo:hi, :]
+        np.minimum(xd[..., lo:hi, :], 0.0, out=part)
+        part *= s[lo:hi]
+        part += np.maximum(xd[..., lo:hi, :], 0.0)
+
+    chunks = min(c, -(-len(xd) // _TILE)) if xd.ndim == 3 else 1
+    _blockwise(chunk, [c * i // chunks for i in range(chunks + 1)])
 
     def pull(g):
         neg = xd < 0

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage, 2 run failure, 3 fingerprint conflict.
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -188,6 +189,7 @@ def _train_one(config, data_dir, out_root, force=False, reuse=False):
         "mse_mean": stats.mean, "mse_std": stats.std,
         "best_epoch": history.best_epoch, "best_val": history.best_val,
         "runtime_s": runtime, "started": started,
+        "epoch_seconds": history.epoch_seconds,
         "checkpoint": ckpt_path, "history": hist_path,
     }
     with atomic_write(record_path) as fh:
@@ -548,7 +550,30 @@ def build_parser():
     return parser
 
 
+# glibc mallopt parameters
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_temporaries_in_heap():
+    """Serve freed blocks up to 32 MiB from glibc's heap; a no-op off glibc.
+
+    By default glibc maps every block over 128 KiB afresh and unmaps it on
+    free, so each large numpy temporary of a B=256 batch, and each column
+    block of conv1d's second lane, costs fresh page faults.  These are the
+    thresholds perfbench runs under.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None):
+    _keep_temporaries_in_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

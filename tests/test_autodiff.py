@@ -1,6 +1,11 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
+from dunets import autodiff
 from dunets.autodiff import (ShapeError, Tape, Tensor, backward, add,
                              concat_channels, conv1d, matvec, mul, prelu,
                              reshape, scale, sigmoid,
@@ -248,9 +253,12 @@ def test_prelu_slope_gradient(rng):
 
 
 def test_prelu_matches_masked_select_oracle_bitwise(rng):
-    for shape in [(3, 7), (4, 3, 7)]:
+    # (65, 3, 7) channel-major: more than one 32-sample tile, two lanes
+    for shape, layout in [((3, 7), np.asarray), ((4, 3, 7), np.asarray),
+                          ((65, 3, 7), channel_major)]:
         x = rng.normal(size=shape)
         x.reshape(-1)[::5] = 0.0  # exact zeros sit on the kink
+        x = layout(x)
         assert (x < 0).any() and (x > 0).any()
         slope = np.array([0.25, -0.5, 1.5])
         g = rng.normal(size=shape)
@@ -300,6 +308,66 @@ def test_feature_ops_are_bitwise_layout_independent(rng):
         assert not channel_major(x).flags.c_contiguous
         for a, b in zip(*results):
             assert np.array_equal(a, b)
+
+
+def test_batches_over_one_tile_equal_per_tile_calls_bitwise(rng):
+    # Over 32 samples, conv1d's column blocks and the PReLU forward's channel
+    # chunks may run on two lanes in any order; every value must still be the
+    # one that a separate call per 32-sample block gives, in the same layout.
+    # Each op's output is read as soon as the op returns (PReLU reads the
+    # conv output, mul the PReLU output), so a lane still writing shows.
+    c, k, n = 32, 3, 53
+    kernel, bias = rng.normal(size=(c, c, k)), rng.normal(size=c)
+    slope = rng.uniform(-0.5, 1.5, size=c)
+
+    def outputs_and_input_grad(x, u):
+        xt = Tensor(x)
+        with Tape() as tape:
+            tape.watch(xt)
+            conv = conv1d(xt, Tensor(kernel), Tensor(bias))
+            act = prelu(conv, Tensor(slope))
+            squared = mul(act, act)
+            g_x = backward(sum_all(mul(squared, Tensor(u))), [xt])[xt]
+        return conv.data, act.data, squared.data, g_x
+
+    for b_sz in (33, 41, 64, 100, 256):
+        x = channel_major(rng.normal(size=(b_sz, c, n)))
+        u = rng.normal(size=(b_sz, c, n))
+        whole = outputs_and_input_grad(x, u)
+        parts = [outputs_and_input_grad(x[lo:lo + 32], u[lo:lo + 32])
+                 for lo in range(0, b_sz, 32)]
+        for i, a in enumerate(whole):
+            assert np.array_equal(a, np.concatenate([p[i] for p in parts])), (b_sz, i)
+            assert a.transpose(1, 0, 2).flags.c_contiguous  # channel-major kept
+        c_order = prelu(Tensor(np.ascontiguousarray(whole[0])), Tensor(slope)).data
+        assert c_order.flags.c_contiguous and np.array_equal(c_order, whole[1])
+
+
+def test_forked_child_builds_its_own_second_lane(rng):
+    # A child forked after the helper lane started (``dunets sweep --jobs``
+    # forks its workers) inherits the executor but not its thread.
+    x = rng.normal(size=(64, 4, 53))
+    kernel, bias = rng.normal(size=(5, 4, 3)), rng.normal(size=5)
+    out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+    inherited = autodiff._helper
+    assert inherited is not None or autodiff._cpus() < 2
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            again = conv1d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+            rebuilt = autodiff._helper is not inherited or autodiff._cpus() < 2
+            code = 0 if rebuilt and np.array_equal(again, out) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child hung on its first two-lane conv")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 # ---------------------------------------------------------------------------

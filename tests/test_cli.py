@@ -76,6 +76,8 @@ def test_train_writes_run_artifacts(tmp_path, data_dir):
     assert record["fingerprint"] == run_dir
     assert record["config"]["T"] == 2
     assert "runtime_s" in record
+    assert len(record["epoch_seconds"]) == 2  # one per epoch, wall clock
+    assert all(s > 0 for s in record["epoch_seconds"])
 
 
 def test_train_default_unroll_counts(tmp_path, data_dir):

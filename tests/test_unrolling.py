@@ -1,6 +1,11 @@
+import inspect
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from dunets import autodiff, volterra
 from dunets.autodiff import Tape, Tensor, backward, scale, sub, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
 from dunets.layers import Conv1dLayer, load_params
@@ -430,3 +435,35 @@ def test_checkpoint_rejects_wrong_kind(tmp_path, tiny_op):
     save_params(path, [("x", np.zeros(3))], meta={"kind": "something"})
     with pytest.raises(ValueError, match="not a model checkpoint"):
         load_model(path)
+
+
+def test_model_ops_run_on_the_calling_thread(monkeypatch):
+    # The tape and perfbench's tracer assume one thread: at B=256 only numpy
+    # kernels may run on conv1d's and PReLU's second lane, never an op.
+    calls = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    public = [f for name, f in vars(autodiff).items() if inspect.isfunction(f)
+              and f.__module__ == autodiff.__name__ and not name.startswith("_")]
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "dunets" or name.startswith("dunets.")]
+    for fn in public + [volterra.forward, volterra.vjp, volterra.data_grad]:
+        wrapped = spy(fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    op = make_operator(1.0, seed=3)  # protocol shapes
+    y = np.random.default_rng(3).normal(size=(256, op.m))
+    for variant, momentum in (("lpgd", "none"), ("lpgd", "rma"), ("lpgdsw", "ma"),
+                              ("lpd", "none"), ("lpd", "rma")):
+        UnrollModel.build(variant, momentum, op, seed=0).reconstruct(y)
+    assert {"conv1d", "prelu", "record_op", "matvec", "forward", "vjp",
+            "data_grad"} <= {name for name, _ in calls}
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+    assert autodiff._helper is not None or autodiff._cpus() < 2
