@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .atomic import atomic_write
 from .training import (TrainConfig, TrainingDiverged, evaluate,
                        subsample_train, train)
 from .unrolling import (MOMENTA, VARIANTS, ModelConfig, UnrollModel,
-                        default_unroll, load_model, save_model)
+                        load_model, save_model)
 from .volterra import gen_dataset, load_dataset, save_dataset
 
 RESULTS_ENV = "DUNETS_RESULTS"
@@ -37,9 +38,10 @@ MODEL_COLUMNS = {"variant": "variant", "momentum": "momentum", "T": "unroll",
                  "L": "lstm_layers", "n": "lstm_hidden", "width": "width",
                  "seed": "seed", "gamma": "gamma", "eta": "eta"}
 
-AGG_COLUMNS = ["variant", "momentum", "T", "L", "n", "a", "data_size",
-               "epochs", "batch_size", "lr0", "width", "split",
-               "mse_mean", "mse_std", "n_runs"]
+# report: one row per cell (GROUP_COLUMNS), its seeds averaged
+AGG_COLUMNS = [c for c in RESULT_COLUMNS
+               if c not in ("fingerprint", "seed")] + ["n_runs"]
+GROUP_COLUMNS = AGG_COLUMNS[:AGG_COLUMNS.index("mse_mean")]
 
 
 class UsageError(Exception):
@@ -125,13 +127,28 @@ def _dataset_fields(dataset, train_size):
             "op_fingerprint": dataset.operator.fingerprint()}
 
 
-def _full_config(config, dataset):
-    """Extend a run config with the dataset-derived fingerprint fields."""
-    size = len(dataset.splits["train"][0])
-    if config["train_fraction"] < 1.0:
-        size = len(subsample_train(dataset, config["train_fraction"],
-                                   config["seed"])[0])
-    return {**config, **_dataset_fields(dataset, size)}
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything that a training run is given besides its dataset."""
+
+    model: ModelConfig
+    train: TrainConfig
+    train_fraction: float = 1.0
+
+    def train_split(self, dataset):
+        """The (x, y) pairs this run trains on: all of them or a subset."""
+        if self.train_fraction < 1.0:
+            return subsample_train(dataset, self.train_fraction, self.train.seed)
+        return dataset.splits["train"]
+
+    def columns(self, dataset, train_size=None):
+        """The run in results-column names: fingerprinted, recorded, reported."""
+        if train_size is None:  # the length of train_split(dataset)
+            train_size = len(self.train_split(dataset)[0])
+        return {**{c: getattr(self.model, f) for c, f in MODEL_COLUMNS.items()},
+                "epochs": self.train.epochs, "batch_size": self.train.batch_size,
+                "lr0": self.train.lr0, "train_fraction": self.train_fraction,
+                **_dataset_fields(dataset, train_size)}
 
 
 def _row_from_record(record, split="test"):
@@ -142,21 +159,15 @@ def _row_from_record(record, split="test"):
     return row
 
 
-def _train_one(config, data_dir, out_root, force=False, reuse=False):
-    """Train a single configuration; writes checkpoint/history/record.
+def _train_one(run, data_dir, out_root, force=False, reuse=False):
+    """Train a single RunConfig; writes checkpoint/history/record.
 
-    Returns the results-CSV row.  ``config`` must carry: variant, momentum,
-    T, L, n, width, seed, epochs, batch_size, lr0, train_fraction, gamma, eta.
-    With ``reuse`` an already-recorded run returns its stored row instead of
-    raising a conflict.
+    Returns the results-CSV row.  With ``reuse`` an already-recorded run
+    returns its stored row instead of raising a conflict.
     """
     dataset = load_dataset(data_dir)
-    op = dataset.operator
-    override = None
-    if config["train_fraction"] < 1.0:
-        override = subsample_train(dataset, config["train_fraction"], config["seed"])
-
-    full = _full_config(config, dataset)
+    train_split = run.train_split(dataset)
+    full = run.columns(dataset, len(train_split[0]))
     fp = fingerprint(full)
 
     run_dir = os.path.join(out_root, fp)
@@ -169,12 +180,9 @@ def _train_one(config, data_dir, out_root, force=False, reuse=False):
             f"run {fp} already recorded in {run_dir} (use --force to redo)")
     os.makedirs(run_dir, exist_ok=True)
 
-    model = UnrollModel.build(
-        operator=op, **{f: config[c] for c, f in MODEL_COLUMNS.items()})
-    tc = TrainConfig(epochs=config["epochs"], batch_size=config["batch_size"],
-                     lr0=config["lr0"], seed=config["seed"])
+    model = UnrollModel.build(operator=dataset.operator, **asdict(run.model))
     started = time.time()
-    history = train(model, dataset, tc, train_override=override)
+    history = train(model, dataset, run.train, train_override=train_split)
     runtime = time.time() - started
 
     x_test, y_test = dataset.splits["test"]
@@ -197,20 +205,25 @@ def _train_one(config, data_dir, out_root, force=False, reuse=False):
     return _row_from_record(record)
 
 
-def _train_config_from_args(args):
-    unroll = args.T if args.T is not None else default_unroll(args.model, args.momentum)
-    return {
-        "variant": args.model, "momentum": args.momentum, "T": unroll,
-        "L": args.L, "n": args.n, "width": args.width, "seed": args.seed,
-        "epochs": args.epochs, "batch_size": args.batch_size, "lr0": args.lr,
-        "train_fraction": args.train_fraction, "gamma": args.gamma,
-        "eta": args.eta,
-    }
+def _run_config(args, variant, momentum, seed, unroll=None, train_fraction=1.0,
+                **model_fields):
+    """The run that the shared run flags give, with these overrides.
+
+    ``model_fields`` may override ``lstm_layers`` and ``lstm_hidden``.
+    """
+    model_fields = {"lstm_layers": args.L, "lstm_hidden": args.n, **model_fields}
+    return RunConfig(
+        ModelConfig(variant, momentum, unroll, width=args.width,
+                    gamma=args.gamma, eta=args.eta, seed=seed, **model_fields),
+        TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                    lr0=args.lr, seed=seed),
+        train_fraction)
 
 
 def cmd_train(args):
-    row = _train_one(_train_config_from_args(args), args.data, args.out,
-                     force=args.force)
+    run = _run_config(args, args.model, args.momentum, args.seed, args.T,
+                      args.train_fraction)
+    row = _train_one(run, args.data, args.out, force=args.force)
     print(f"run {row['fingerprint']}: test mse {row['mse_mean']:.6e} "
           f"(std {row['mse_std']:.3e})")
     if args.results:
@@ -255,29 +268,18 @@ def _dataset_cache(root, **gen_kwargs):
 
 
 def _sweep_cells(args):
-    """Expand the sweep kind and grid into (config, gen_dataset kwargs) cells."""
+    """Expand the sweep kind and grid into (RunConfig, gen_dataset kwargs) cells."""
     seeds = _ints(args.seeds)
     counts = tuple(_ints(args.counts))
     models = args.models.split(",") if args.models else None
     momenta = args.momenta.split(",") if args.momenta else None
-    base = {
-        "L": args.L, "n": args.n, "width": args.width, "epochs": args.epochs,
-        "batch_size": args.batch_size, "lr0": args.lr, "train_fraction": 1.0,
-        "gamma": args.gamma, "eta": args.eta,
-    }
     cells = []
 
-    def add(variant, momentum, seed, a, T=None, **extra):
-        config = dict(base)
-        config.update({
-            "variant": variant, "momentum": momentum, "seed": seed,
-            "T": T if T is not None else default_unroll(variant, momentum),
-        })
-        config.update(extra)
-        cells.append((config, {"a": a, "counts": counts,
-                               "seed": args.data_seed,
-                               "tv_scale": args.tv_scale,
-                               "noise_sigma": args.noise_sigma}))
+    def add(variant, momentum, seed, a, **overrides):
+        cells.append((_run_config(args, variant, momentum, seed, **overrides),
+                      {"a": a, "counts": counts, "seed": args.data_seed,
+                       "tv_scale": args.tv_scale,
+                       "noise_sigma": args.noise_sigma}))
 
     if args.kind == "a":
         grid = _floats(args.grid) if args.grid else [0.0, 1.0, 2.0, 4.0]
@@ -300,21 +302,22 @@ def _sweep_cells(args):
         for layers in _ints(l_part):
             for hidden in _ints(n_part):
                 for seed in seeds:
-                    add("lpd", "rma", seed, args.a, L=layers, n=hidden)
+                    add("lpd", "rma", seed, args.a, lstm_layers=layers,
+                        lstm_hidden=hidden)
     elif args.kind == "unroll":
         grid = _ints(args.grid) if args.grid else [6, 8, 10, 12, 14, 16]
         for unroll in grid:
             for momentum in momenta or ["rma"]:
                 for seed in seeds:
-                    add("lpd", momentum, seed, args.a, T=unroll)
+                    add("lpd", momentum, seed, args.a, unroll=unroll)
     else:
         raise UsageError(f"unknown sweep kind {args.kind!r}")
     return cells
 
 
 def _run_cell(payload):
-    config, data_dir, out_root = payload
-    return _train_one(config, data_dir, out_root, reuse=True)
+    run, data_dir, out_root = payload
+    return _train_one(run, data_dir, out_root, reuse=True)
 
 
 def cmd_sweep(args):
@@ -326,13 +329,13 @@ def cmd_sweep(args):
     cells = _sweep_cells(args)
     payloads = []
     dataset_cache = {}
-    for config, gen_kwargs in cells:
+    for run, gen_kwargs in cells:
         data_dir = _dataset_cache(args.out, **gen_kwargs)
         if data_dir not in dataset_cache:
             dataset_cache[data_dir] = load_dataset(data_dir)
-        if fingerprint(_full_config(config, dataset_cache[data_dir])) in done:
+        if fingerprint(run.columns(dataset_cache[data_dir])) in done:
             continue
-        payloads.append((config, data_dir, os.path.join(args.out, "runs")))
+        payloads.append((run, data_dir, os.path.join(args.out, "runs")))
 
     failures = []
     outcomes = []
@@ -352,9 +355,9 @@ def cmd_sweep(args):
     print(f"sweep complete: {len(payloads) - len(failures)} ran, "
           f"{len(cells) - len(payloads)} skipped, {len(failures)} failed")
     if failures:
-        for config, error in failures:
-            print(f"  FAILED {config['variant']}-{config['momentum']} "
-                  f"seed={config['seed']}: {error}", file=sys.stderr)
+        for run, error in failures:
+            print(f"  FAILED {run.model.variant}-{run.model.momentum} "
+                  f"seed={run.model.seed}: {error}", file=sys.stderr)
         return 2
     return 0
 
@@ -373,12 +376,12 @@ def _aggregate(rows):
     """Collapse seeds: mean over runs of mse_mean, std with n-1 weighting."""
     groups = {}
     for row in rows:
-        key = tuple(row[c] for c in AGG_COLUMNS[:12])
+        key = tuple(row[c] for c in GROUP_COLUMNS)
         groups.setdefault(key, []).append(float(row["mse_mean"]))
     out = []
     for key in sorted(groups):
         values = groups[key]
-        agg = dict(zip(AGG_COLUMNS[:12], key))
+        agg = dict(zip(GROUP_COLUMNS, key))
         agg["mse_mean"] = float(np.mean(values))
         agg["mse_std"] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         agg["n_runs"] = len(values)
@@ -473,6 +476,19 @@ def build_parser():
                                  "nonlinear deconvolution")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the run flags train and sweep share, defaulting to the config classes
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--L", type=int, default=ModelConfig.lstm_layers)
+    run_flags.add_argument("--n", type=int, default=ModelConfig.lstm_hidden)
+    run_flags.add_argument("--width", type=int, default=ModelConfig.width)
+    run_flags.add_argument("--gamma", type=float, default=ModelConfig.gamma)
+    run_flags.add_argument("--eta", type=float, default=ModelConfig.eta)
+    run_flags.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    run_flags.add_argument("--batch-size", type=int,
+                           default=TrainConfig.batch_size)
+    run_flags.add_argument("--lr", type=float, default=TrainConfig.lr0)
+    run_flags.add_argument("--out", default=os.environ.get(RESULTS_ENV, "results"))
+
     p = sub.add_parser("gen-data", help="generate a paired dataset")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--counts", default="10000,1000,1000")
@@ -486,22 +502,14 @@ def build_parser():
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one model configuration")
+    p = sub.add_parser("train", parents=[run_flags],
+                       help="train one model configuration")
     p.add_argument("--model", choices=VARIANTS, required=True)
     p.add_argument("--momentum", choices=MOMENTA, default="none")
     p.add_argument("--T", type=int, default=None)
-    p.add_argument("--L", type=int, default=ModelConfig.lstm_layers)
-    p.add_argument("--n", type=int, default=ModelConfig.lstm_hidden)
-    p.add_argument("--width", type=int, default=ModelConfig.width)
-    p.add_argument("--gamma", type=float, default=ModelConfig.gamma)
-    p.add_argument("--eta", type=float, default=ModelConfig.eta)
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--train-fraction", type=float, default=1.0)
-    p.add_argument("--out", default=os.environ.get(RESULTS_ENV, "results"))
     p.add_argument("--results", default=None,
                    help="optional results CSV to append the test MSE to")
     p.add_argument("--force", action="store_true")
@@ -514,7 +522,8 @@ def build_parser():
     p.add_argument("--results", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="run a grid of configurations")
+    p = sub.add_parser("sweep", parents=[run_flags],
+                       help="run a grid of configurations")
     p.add_argument("--kind", choices=["a", "datasize", "rma-structure", "unroll"],
                    required=True)
     p.add_argument("--grid", default=None,
@@ -528,16 +537,7 @@ def build_parser():
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--tv-scale", type=float, default=0.1)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--L", type=int, default=ModelConfig.lstm_layers)
-    p.add_argument("--n", type=int, default=ModelConfig.lstm_hidden)
-    p.add_argument("--width", type=int, default=ModelConfig.width)
-    p.add_argument("--gamma", type=float, default=ModelConfig.gamma)
-    p.add_argument("--eta", type=float, default=ModelConfig.eta)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=os.environ.get(RESULTS_ENV, "results"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="aggregate a results CSV, or plot it")

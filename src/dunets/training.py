@@ -34,7 +34,7 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
@@ -128,7 +128,6 @@ def train(model, dataset, config, train_override=None):
     x_val, y_val = dataset.splits["val"]
 
     params = model.param_list()
-    names = [name for name, _ in model.named_params()]
     opt = Adam(params, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
     steps_per_epoch = (len(x_train) + config.batch_size - 1) // config.batch_size
     sched = CosineSchedule(config.lr0, config.epochs * steps_per_epoch)
@@ -165,8 +164,8 @@ def train(model, dataset, config, train_override=None):
         if val < history.best_val:
             history.best_val = val
             history.best_epoch = epoch
-            best = {name: p.data.copy() for name, p in zip(names, params)}
+            best = [p.data.copy() for p in params]
     if best is not None:
-        for name, p in zip(names, params):
-            p.data = best[name]
+        for p, data in zip(params, best):
+            p.data = data
     return history

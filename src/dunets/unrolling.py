@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat_channels, reshape, scale,
-                       slice_channels, sub)
+from .autodiff import (Tensor, add, as_tensor, concat_channels, reshape,
+                       scale, slice_channels, sub)
 from .layers import Conv1dLayer, ConvStack, LstmStack, load_params, save_params
 from .volterra import VolterraOperator, data_grad, forward, vjp
 
@@ -254,8 +254,7 @@ class UnrollModel:
         ``y`` may be one observation (m,) or a batch (B, m); the result
         matches.  Momentum state is created fresh per call.
         """
-        y = np.asarray(y, dtype=np.float64) if not isinstance(y, Tensor) else y
-        y_t = y if isinstance(y, Tensor) else Tensor(y)
+        y_t = as_tensor(y)
         squeeze = y_t.data.ndim == 1
         if squeeze:
             y_t = reshape(y_t, (1, y_t.data.shape[0]))

@@ -320,22 +320,23 @@ def test_sweep_default_grids_expand_to_expected_cells():
     args = parser.parse_args(["sweep", "--kind", "a", "--seeds", "0"])
     cells = _sweep_cells(args)
     assert len(cells) == 4 * 3 * 3  # a in {0,1,2,4} x 3 variants x 3 modes
-    assert {cfg["T"] for cfg, _ in cells if cfg["variant"] == "lpgd"} == {43, 20}
+    assert {r.model.unroll for r, _ in cells
+            if r.model.variant == "lpgd"} == {43, 20}
 
     args = parser.parse_args(["sweep", "--kind", "rma-structure", "--seeds", "0"])
     cells = _sweep_cells(args)
     assert len(cells) == 9  # L in {1,2,3} x n in {30,50,70}
-    assert {(c["L"], c["n"]) for c, _ in cells} == {(l, n) for l in (1, 2, 3)
-                                                   for n in (30, 50, 70)}
+    assert {(r.model.lstm_layers, r.model.lstm_hidden) for r, _ in cells} == {
+        (l, n) for l in (1, 2, 3) for n in (30, 50, 70)}
 
     args = parser.parse_args(["sweep", "--kind", "datasize", "--seeds", "0,1"])
     cells = _sweep_cells(args)
     assert len(cells) == 4 * 3 * 2  # four fractions x 3 modes x 2 seeds
-    assert {c["train_fraction"] for c, _ in cells} == {0.1, 0.25, 0.5, 1.0}
+    assert {r.train_fraction for r, _ in cells} == {0.1, 0.25, 0.5, 1.0}
 
     args = parser.parse_args(["sweep", "--kind", "unroll", "--seeds", "0"])
     cells = _sweep_cells(args)
-    assert [c["T"] for c, _ in cells] == [6, 8, 10, 12, 14, 16]
+    assert [r.model.unroll for r, _ in cells] == [6, 8, 10, 12, 14, 16]
 
 
 def test_sweep_parallel_jobs_match_serial_results(tmp_path):
@@ -354,8 +355,8 @@ def test_sweep_reports_failed_cells_and_exits_nonzero(tmp_path, monkeypatch, cap
     import dunets.cli as cli
 
     def exploding(payload):
-        config, _, _ = payload
-        if config["momentum"] == "ma":
+        run_config, _, _ = payload
+        if run_config.model.momentum == "ma":
             raise RuntimeError("synthetic cell failure")
         return cli._train_one(*payload, reuse=True)
 
@@ -421,19 +422,71 @@ def test_fingerprints_differ_when_any_field_differs():
     assert len(seen) == 15
 
 
+def train_run_config(*argv):
+    """The RunConfig that ``dunets train`` builds from these flags."""
+    from dunets.cli import _run_config, build_parser
+    args = build_parser().parse_args(["train", *argv])
+    return _run_config(args, args.model, args.momentum, args.seed, args.T,
+                       args.train_fraction)
+
+
 def test_train_fingerprint_golden(data_dir):
-    from dunets.cli import (_full_config, _train_config_from_args,
-                            build_parser, fingerprint)
+    from dunets.cli import fingerprint
     from dunets.volterra import load_dataset
     dataset = load_dataset(data_dir)
-    argv = ["train", "--model", "lpd", "--momentum", "rma", *FAST,
-            "--data", data_dir]
+    argv = ["--model", "lpd", "--momentum", "rma", *FAST, "--data", data_dir]
     prints = []
     for extra in ([], ["--train-fraction", "0.5"]):
-        args = build_parser().parse_args(argv + extra)
-        prints.append(fingerprint(_full_config(_train_config_from_args(args),
-                                               dataset)))
+        prints.append(fingerprint(
+            train_run_config(*argv, *extra).columns(dataset)))
     assert prints == ["60fc351c25c9205d", "9440601a35090703"]
+
+
+def test_train_defaults_are_the_config_classes_defaults():
+    from dunets.cli import RunConfig
+    from dunets.training import TrainConfig
+    from dunets.unrolling import ModelConfig
+    assert train_run_config("--model", "lpd", "--data", "x") == RunConfig(
+        ModelConfig("lpd", "none"), TrainConfig())
+
+
+def test_run_config_is_frozen_all_the_way_down():
+    from dataclasses import FrozenInstanceError
+    run_config = train_run_config("--model", "lpd", "--data", "x")
+    with pytest.raises(FrozenInstanceError):
+        run_config.train.epochs = 1
+    with pytest.raises(FrozenInstanceError):
+        run_config.model.unroll = 1
+    with pytest.raises(FrozenInstanceError):
+        run_config.train_fraction = 0.5
+
+
+@pytest.mark.parametrize("sweep_argv, train_argv", [
+    (["--kind", "a", "--grid", "1", "--models", "lpgd", "--momenta", "ma"],
+     ["--model", "lpgd", "--momentum", "ma"]),
+    (["--kind", "unroll", "--grid", "3", "--momenta", "none"],
+     ["--model", "lpd", "--momentum", "none", "--T", "3"]),
+    (["--kind", "datasize", "--grid", "50", "--models", "lpd",
+      "--momenta", "rma"],
+     ["--model", "lpd", "--momentum", "rma", "--train-fraction", "0.5"]),
+    (["--kind", "rma-structure", "--grid", "2;7"],
+     ["--model", "lpd", "--momentum", "rma", "--L", "2", "--n", "7"]),
+], ids=["a", "unroll", "datasize", "rma-structure"])
+def test_sweep_cell_is_the_train_run_with_equal_settings(
+        data_dir, sweep_argv, train_argv):
+    from dunets.cli import _sweep_cells, build_parser, fingerprint
+    from dunets.volterra import load_dataset
+    run_flags = ["--epochs", "3", "--batch-size", "4", "--lr", "0.01",
+                 "--width", "6", "--gamma", "0.8", "--eta", "0.01"]
+    args = build_parser().parse_args(
+        ["sweep", *sweep_argv, "--seeds", "2", *run_flags])
+    ((cell, _),) = _sweep_cells(args)
+    run_config = train_run_config(*train_argv, "--seed", "2", *run_flags,
+                                  "--data", data_dir)
+    assert cell == run_config
+    dataset = load_dataset(data_dir)
+    assert fingerprint(cell.columns(dataset)) == \
+        fingerprint(run_config.columns(dataset))
 
 
 # ---------------------------------------------------------------------------
