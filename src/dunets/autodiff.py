@@ -366,21 +366,21 @@ def _blockwise(fn, edges):
         lane.result()  # raises the helper's exception, if any
 
 
-def _correlate(kmat, xb, k, bias=None):
-    """``kmat @ _im2col(xb, k)`` (plus ``bias`` per row) as a (C_out, B, N) array.
+def _correlate(kmat, cols, b_sz, n, bias=None):
+    """``kmat @ cols(lo, hi)`` (plus ``bias`` per row) as a (C_out, B, N) array.
 
-    The columns are built and multiplied _TILE samples at a time, each GEMM
-    writing its own column range of one result allocated up front, so the
-    long-lived result sits below the short-lived column blocks.  Up to
-    _TILE samples this is a single GEMM; above it the blocks run on two
-    lanes (``_blockwise``).
+    ``cols(lo, hi)`` gives the (C·k, (hi - lo)·N) im2col columns of samples
+    [lo, hi) of the b_sz-sample batch.  They are taken and multiplied _TILE
+    samples at a time, each GEMM writing its own column range of one result
+    allocated up front, so the long-lived result sits below the short-lived
+    column blocks.  Up to _TILE samples this is a single GEMM; above it the
+    blocks run on two lanes (``_blockwise``).
     """
-    b_sz, _, n = xb.shape
     out = np.empty((kmat.shape[0], b_sz * n))
 
     def block(lo, hi):
         part = out[:, lo * n:hi * n]
-        np.matmul(kmat, _im2col(xb[lo:hi], k), out=part)
+        np.matmul(kmat, cols(lo, hi), out=part)
         if bias is not None:
             part += bias[:, None]
 
@@ -394,13 +394,15 @@ def conv1d(x, kernel, bias):
     x: (C_in, N) or (B, C_in, N); kernel: (C_out, C_in, k) with odd k;
     bias: (C_out,).  Output length equals N (zero padding).
 
-    The output is one channel-major im2col GEMM per block of samples
-    (``_correlate``).  The input gradient is the adjoint: the output gradient
-    correlated with the flipped, transposed kernel by the same routine.  The
-    kernel gradient is one GEMM over the whole batch's columns, so its
-    reduction over samples is never split.  The tape keeps no column buffer;
-    the pull rebuilds the input's columns from the input array, which the
-    record already holds.
+    The output is one channel-major im2col GEMM per block of the input's
+    samples (``_correlate``).  The pull builds one set of columns, the output
+    gradient's, for the whole batch, and takes both gradients from them.
+    The input gradient is the adjoint: the flipped, transposed kernel times
+    those columns, block by block through the same routine.  The kernel
+    gradient is one GEMM of the input, seen as (C_in, B·N), with the same
+    columns: ``g_K[o, c, j]`` is entry ``(c, o·k + k-1-j)`` of the product,
+    and its reduction over samples is never split.  The tape keeps no column
+    buffer.
 
     A batched output, like the input gradient, is the channel-major GEMM
     result seen through a free transpose.
@@ -421,15 +423,20 @@ def conv1d(x, kernel, bias):
     xb = x.data if batched else x.data[None]
     kdata = kernel.data
     b_sz, _, n = xb.shape
-    out = _correlate(kdata.reshape(c_out, c_in * k), xb, k, bias.data)
+    out = _correlate(kdata.reshape(c_out, c_in * k),
+                     lambda lo, hi: _im2col(xb[lo:hi], k), b_sz, n, bias.data)
     out = out.transpose(1, 0, 2)
 
     def pull(g):
         gb = g if batched else g[None]
-        g_t = gb.transpose(1, 0, 2).reshape(c_out, b_sz * n)
-        g_kernel = (g_t @ _im2col(xb, k).T).reshape(kdata.shape)
+        gcols = _im2col(gb, k)
+        x_t = xb.transpose(1, 0, 2).reshape(c_in, b_sz * n)
+        g_kernel = np.ascontiguousarray(
+            (x_t @ gcols.T).reshape(c_in, c_out, k)[:, :, ::-1].transpose(1, 0, 2))
         kflip = kdata[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-        g_x = _correlate(kflip, gb, k).transpose(1, 0, 2)
+        g_x = _correlate(kflip, lambda lo, hi: gcols[:, lo * n:hi * n],
+                         b_sz, n).transpose(1, 0, 2)
+        g_t = gb.transpose(1, 0, 2).reshape(c_out, b_sz * n)
         return (g_x if batched else g_x[0]), g_kernel, g_t.sum(axis=1)
 
     return record_op(out if batched else out[0], (x, kernel, bias), pull)

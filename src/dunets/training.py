@@ -50,6 +50,12 @@ class TrainConfig:
             raise ValueError("epochs and batch size must be positive")
         if self.lr0 <= 0:
             raise ValueError("initial learning rate must be positive")
+        if self.clip_norm <= 0:
+            raise ValueError("gradient clip norm must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("Adam betas must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("Adam eps must be positive")
 
 
 @dataclass

@@ -32,6 +32,7 @@ class VolterraOperator:
     n: int                  # signal length
     seed: int | None = None  # generator seed, if seed-constructed
     _w2sym: np.ndarray = field(init=False, repr=False)
+    _idx: np.ndarray = field(init=False, repr=False)  # (m, k) window positions
 
     def __post_init__(self):
         self.w1 = np.asarray(self.w1, dtype=np.float64)
@@ -45,6 +46,7 @@ class VolterraOperator:
             raise ValueError(
                 f"window size {k} and stride {self.stride} do not tile length {self.n}")
         self._w2sym = self.w2 + self.w2.T
+        self._idx = np.arange(self.m)[:, None] * self.stride + np.arange(k)
 
     @property
     def k(self):
@@ -63,9 +65,12 @@ class VolterraOperator:
         return h.hexdigest()[:16]
 
     def _windows(self, x):
-        """View of x as (..., m, k) windows at starts {0, s, 2s, ...}."""
-        return np.stack([x[..., i * self.stride:i * self.stride + self.k]
-                         for i in range(self.m)], axis=-2)
+        """Copy of x as (..., m, k) windows at starts {0, s, 2s, ...}.
+
+        The copy is C-ordered whatever x's layout, because the products
+        taken of it round differently in another memory order.
+        """
+        return np.take(x, self._idx, axis=-1)
 
 
 def make_operator(a, seed, n=53, k=9, stride=4):
@@ -96,9 +101,11 @@ def _window_grads(op, x):
 def _scatter_windows(op, contrib, out_shape):
     """Sum per-window (..., m, k) contributions back onto the signal axis."""
     g = np.zeros(out_shape)
-    for i in range(op.m):
-        start = i * op.stride
-        g[..., start:start + op.k] += contrib[..., i, :]
+    span = op.stride * (op.m - 1) + 1
+    # tap j adds window i at position i·s + j; taking the taps from last to
+    # first adds each position's windows in ascending i, as a per-window loop
+    for j in range(op.k - 1, -1, -1):
+        g[..., j:j + span:op.stride] += contrib[..., :, j]
     return g
 
 

@@ -145,7 +145,7 @@ def test_conv1d_impulse_matches_double_loop_oracle():
 
 
 # (B, C_in, N, C_out, k); B None means an unbatched (C_in, N) input
-CONV_SHAPES = [
+SMALL_CONV_SHAPES = [
     (None, 3, 7, 2, 3),
     (None, 1, 5, 2, 1),
     (None, 2, 1, 3, 5),   # N < k: every tap but the centre reads padding
@@ -156,6 +156,9 @@ CONV_SHAPES = [
     (64, 2, 5, 3, 3),     # two whole 32-sample column blocks
     (41, 3, 4, 2, 3),     # a whole block and a ragged one
 ]
+# the protocol's hidden and output convs at the training batch size
+PROTOCOL_CONV_SHAPES = [(32, 32, 53, 32, 3), (32, 32, 53, 1, 3)]
+CONV_SHAPES = SMALL_CONV_SHAPES + PROTOCOL_CONV_SHAPES
 
 
 def conv_draw(rng, shape):
@@ -165,7 +168,9 @@ def conv_draw(rng, shape):
 
 
 def test_conv1d_random_matches_oracle(rng):
-    for shape in CONV_SHAPES * 20:
+    # the loop oracle is too slow at protocol shapes; the adjoint identity
+    # below checks conv1d there against its gradient oracles
+    for shape in SMALL_CONV_SHAPES * 20:
         x, kernel, bias = conv_draw(rng, shape)
         out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias)).data
         expected = (conv_oracle(x, kernel, bias) if x.ndim == 2 else
@@ -202,6 +207,33 @@ def test_conv1d_adjoint_identity(rng):
         for j in range(k):
             g_pad[:, :, j:j + n] += np.einsum("oc,bon->bcn", kernel[:, :, j], ub)
         assert np.allclose(gx, g_pad[:, :, pad:pad + n].reshape(gx.shape), rtol=0, atol=1e-12 * ub.size)
+
+
+def test_conv1d_pull_builds_one_set_of_columns(rng, monkeypatch):
+    # both gradients come from the output gradient's columns; the pull
+    # builds them once for the whole batch, over one tile or more
+    built = []
+    im2col = autodiff._im2col
+
+    def spy(xb, k):
+        cols = im2col(xb, k)
+        built.append(cols.shape)
+        return cols
+
+    monkeypatch.setattr(autodiff, "_im2col", spy)
+    c_in, n, c_out, k = 6, 53, 5, 3
+    for b_sz in (32, 64):
+        x, kernel, bias = conv_draw(rng, (b_sz, c_in, n, c_out, k))
+        u = rng.normal(size=(b_sz, c_out, n))
+        tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
+        with Tape() as tape:
+            tape.watch(*tensors)
+            loss = sum_all(mul(conv1d(*tensors), Tensor(u)))
+            assert len(built) == -(-b_sz // 32)  # one per forward tile
+            built.clear()
+            backward(loss, tensors)
+        assert built == [(c_out * k, b_sz * n)]
+        built.clear()
 
 
 def test_conv1d_rejects_even_kernel_and_channel_mismatch():

@@ -297,6 +297,17 @@ def test_train_config_validation():
         TrainConfig(lr0=-1.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"clip_norm": 0.0},   # every update would be silently zero
+    {"clip_norm": -1.0},  # clipping would flip every gradient: Adam climbs
+    {"beta1": -0.1}, {"beta1": 1.0}, {"beta2": -0.1}, {"beta2": 1.0},
+    {"eps": 0.0}, {"eps": -1e-8},
+])
+def test_train_config_rejects_bad_clip_and_adam_settings(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
 # ---------------------------------------------------------------------------
 # BLAS thread pinning
 

@@ -6,7 +6,7 @@ import pytest
 from dunets.autodiff import ShapeError, Tape, Tensor, backward, mul, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
 from dunets.volterra import (SPLITS, VolterraOperator, _sample_rng,
-                             data_grad, forward, gen_dataset, load_dataset,
+                             _scatter_windows, data_grad, forward, gen_dataset, load_dataset,
                              make_operator, sample_tv_prior, save_dataset, vjp)
 
 
@@ -136,6 +136,25 @@ def test_forward_batched_matches_rows(rng, tiny_op):
     yb = forward(tiny_op, xb)
     for i in range(4):
         assert np.array_equal(yb[i], forward(tiny_op, xb[i]))
+
+
+@pytest.mark.parametrize("n, k, s", [(53, 9, 4), (11, 5, 3), (9, 3, 1),
+                                     (13, 3, 5), (10, 4, 2), (5, 5, 1)])
+def test_window_gather_and_scatter_match_per_window_oracles_bitwise(rng, n, k, s):
+    # overlapping (k > s), abutting, gapped (k < s) and single windows
+    op = VolterraOperator(w1=rng.normal(size=k), w2=np.triu(rng.normal(size=(k, k))),
+                          a=1.0, b=0.0, stride=s, n=n)
+    for lead in ((), (1,), (7,), (64,)):
+        x = rng.normal(size=lead + (n,))
+        stacked = np.stack([x[..., i * s:i * s + k] for i in range(op.m)], axis=-2)
+        windows = op._windows(x)
+        assert windows.flags.c_contiguous and np.array_equal(windows, stacked)
+        assert np.array_equal(windows @ op.w1, stacked @ op.w1)
+        contrib = rng.normal(size=lead + (op.m, k))
+        expected = np.zeros(lead + (n,))
+        for i in range(op.m):
+            expected[..., i * s:i * s + k] += contrib[..., i, :]
+        assert np.array_equal(_scatter_windows(op, contrib, x.shape), expected)
 
 
 # ---------------------------------------------------------------------------
