@@ -185,8 +185,7 @@ def _train_one(run, data_dir, out_root, force=False, reuse=False):
     history = train(model, dataset, run.train, train_override=train_split)
     runtime = time.time() - started
 
-    x_test, y_test = dataset.splits["test"]
-    stats = evaluate(model, x_test, y_test)
+    stats = _evaluate(model, dataset, "test")
 
     ckpt_path = os.path.join(run_dir, "checkpoint.bin")
     hist_path = os.path.join(run_dir, "history.csv")
@@ -234,6 +233,14 @@ def cmd_train(args):
 # ---------------------------------------------------------------------------
 # eval
 
+def _evaluate(model, dataset, split):
+    """``evaluate`` on one split, raising if its mean error is not finite."""
+    stats = evaluate(model, *dataset.splits[split])
+    if not np.isfinite(stats.mean):
+        raise RuntimeError(f"non-finite {split} mse ({stats.mean})")
+    return stats
+
+
 def cmd_eval(args):
     model = load_model(args.checkpoint)
     dataset = load_dataset(args.data)
@@ -241,10 +248,9 @@ def cmd_eval(args):
         raise FingerprintConflict(
             "checkpoint and dataset operators differ "
             f"({model.operator.fingerprint()} vs {dataset.operator.fingerprint()})")
-    x, y = dataset.splits[args.split]
-    stats = evaluate(model, x, y)
+    stats = _evaluate(model, dataset, args.split)
     print(f"{args.split} split: mse {stats.mean:.6e} (std {stats.std:.3e}, "
-          f"{len(x)} samples)")
+          f"{len(stats.per_sample)} samples)")
     if args.results:
         config = {column: getattr(model.config, field)
                   for column, field in MODEL_COLUMNS.items()}
@@ -489,16 +495,20 @@ def build_parser():
     run_flags.add_argument("--lr", type=float, default=TrainConfig.lr0)
     run_flags.add_argument("--out", default=os.environ.get(RESULTS_ENV, "results"))
 
-    p = sub.add_parser("gen-data", help="generate a paired dataset")
+    # the dataset flags gen-data and sweep share
+    data_flags = argparse.ArgumentParser(add_help=False)
+    data_flags.add_argument("--counts", default="10000,1000,1000")
+    data_flags.add_argument("--tv-scale", type=float, default=0.1)
+    data_flags.add_argument("--noise-sigma", type=float, default=0.0)
+
+    p = sub.add_parser("gen-data", parents=[data_flags],
+                       help="generate a paired dataset")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--counts", default="10000,1000,1000")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=53)
     p.add_argument("--k", type=int, default=9)
     p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--tv-scale", type=float, default=0.1)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -522,7 +532,7 @@ def build_parser():
     p.add_argument("--results", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", parents=[run_flags],
+    p = sub.add_parser("sweep", parents=[run_flags, data_flags],
                        help="run a grid of configurations")
     p.add_argument("--kind", choices=["a", "datasize", "rma-structure", "unroll"],
                    required=True)
@@ -533,10 +543,7 @@ def build_parser():
     p.add_argument("--momenta", default=None)
     p.add_argument("--a", type=float, default=1.0,
                    help="nonlinearity for kinds that fix it")
-    p.add_argument("--counts", default="10000,1000,1000")
     p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--tv-scale", type=float, default=0.1)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import (Tensor, add, conv1d, matvec, mul, prelu, sigmoid,
-                       tanh)
+from .autodiff import (Tensor, add, as_tensor, conv1d, matvec, mul, prelu,
+                       sigmoid, tanh)
 
 
 def he_uniform(rng, shape, fan_in):
@@ -25,8 +25,8 @@ class Conv1dLayer:
     """One same-padded convolution: kernel (C_out, C_in, k) plus bias."""
 
     def __init__(self, kernel, bias):
-        self.kernel = kernel if isinstance(kernel, Tensor) else Tensor(kernel)
-        self.bias = bias if isinstance(bias, Tensor) else Tensor(bias)
+        self.kernel = as_tensor(kernel)
+        self.bias = as_tensor(bias)
 
     @classmethod
     def create(cls, rng, c_in, c_out, k=3, zero=False, scale=1.0):
@@ -48,7 +48,7 @@ class PReLULayer:
     """Parametric ReLU with one learnable slope per channel."""
 
     def __init__(self, slope):
-        self.slope = slope if isinstance(slope, Tensor) else Tensor(slope)
+        self.slope = as_tensor(slope)
 
     @classmethod
     def create(cls, channels, init=0.25):
@@ -148,14 +148,14 @@ class LstmStack:
     """L chained LSTM cells plus the map from hidden space back to signals.
 
     The stack consumes one gradient vector per call and carries (h, c) per
-    layer between calls; fresh state is all zeros.
+    layer between calls; fresh state is all zeros.  It is the rma momentum
+    module: ``step`` is the momentum-module interface of ``unrolling``.
     """
 
-    def __init__(self, cells, w_hg, b_g, input_size, hidden_size):
+    def __init__(self, cells, w_hg, b_g, hidden_size):
         self.cells = cells
         self.w_hg = w_hg
         self.b_g = b_g
-        self.input_size = input_size
         self.hidden_size = hidden_size
 
     @classmethod
@@ -174,11 +174,7 @@ class LstmStack:
             chain = cell.w_gc.data @ chain
         w_hg = Tensor(chain.T.copy())
         b_g = Tensor(np.zeros(input_size))
-        return cls(cells, w_hg, b_g, input_size, hidden_size)
-
-    @property
-    def layers(self):
-        return len(self.cells)
+        return cls(cells, w_hg, b_g, hidden_size)
 
     def initial_state(self, batch=None):
         shape = (self.hidden_size,) if batch is None else (batch, self.hidden_size)
@@ -198,6 +194,13 @@ class LstmStack:
             z = h
         v = add(matvec(self.w_hg, z), self.b_g)
         return v, new_state
+
+    def step(self, state, g):
+        """(velocity, new state) for gradient g; ``None`` is the zero state."""
+        if state is None:
+            batch = g.data.shape[0] if g.data.ndim == 2 else None
+            state = self.initial_state(batch)
+        return self(g, state)
 
     def named_params(self, prefix):
         for l, cell in enumerate(self.cells):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import ShapeError, Tape, Tensor, backward, mul, scale, sub, sum_all
+from .autodiff import ShapeError, Tape, as_tensor, backward, mul, scale, sub, sum_all
 from .layers import Adam, CosineSchedule, clip_global_norm
 
 
@@ -78,7 +78,7 @@ class TrainHistory:
 
 def mse_loss(xhat, target):
     """Mean over samples of the per-element squared error (a scalar tensor)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
+    target = as_tensor(target)
     if xhat.data.shape != target.data.shape:
         raise ShapeError(
             f"mse_loss: shape mismatch {xhat.data.shape} vs {target.data.shape}")

@@ -76,7 +76,7 @@ class ModelConfig:
 
 # ---------------------------------------------------------------------------
 # momentum modules (duck-typed: step(state, g) -> (d, state); state starts
-# as None)
+# as None).  The rma module is ``layers.LstmStack``.
 
 class NoMomentum:
     """Pass the raw gradient through as the update direction."""
@@ -102,22 +102,6 @@ class MomentumMA:
 
     def named_params(self, prefix):
         return ()
-
-
-class RecurrentMomentum:
-    """LSTM stack over the gradient sequence; state starts at zero."""
-
-    def __init__(self, stack):
-        self.stack = stack
-
-    def step(self, state, g):
-        if state is None:
-            batch = g.data.shape[0] if g.data.ndim == 2 else None
-            state = self.stack.initial_state(batch)
-        return self.stack(g, state)
-
-    def named_params(self, prefix):
-        yield from self.stack.named_params(prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +202,9 @@ class UnrollModel:
         elif momentum == "ma":
             mom = MomentumMA(gamma=config.gamma, eta=config.eta)
         else:
-            mom = RecurrentMomentum(LstmStack.create(
+            mom = LstmStack.create(
                 rng, input_size=operator.n, hidden_size=config.lstm_hidden,
-                layers=config.lstm_layers))
+                layers=config.lstm_layers)
 
         return cls(config, operator, primal_nets, dual_nets, fusions, mom)
 

@@ -17,12 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import ShapeError, Tensor, record_op, sub
+from .autodiff import ShapeError, Tensor, as_tensor, record_op, sub
 
 
-@dataclass
+@dataclass(eq=False)
 class VolterraOperator:
-    """Windowed quadratic measurement map of a length-n signal."""
+    """Windowed quadratic measurement map of a length-n signal.
+
+    ``==`` is identity; ``fingerprint()`` compares content.
+    """
 
     w1: np.ndarray          # (k,) first-order kernel
     w2: np.ndarray          # (k, k) second-order kernel, zero below diagonal
@@ -126,35 +129,30 @@ def _check_obs(op, u, name="u"):
 
 
 def forward(op, x):
-    """Apply the measurement map; differentiable when x is a tracked Tensor."""
-    if not isinstance(x, Tensor):
-        x = np.asarray(x, dtype=np.float64)
-        _check_signal(op, x)
-        return _measure(op, x)
-    _check_signal(op, x.data)
-    x_data = x.data
+    """Apply the measurement map: an array for arrays, else a Tensor.
+
+    Differentiable when x is a tracked Tensor.
+    """
+    xt = as_tensor(x)
+    _check_signal(op, xt.data)
+    x_data = xt.data
 
     def pull(g):
         return (_pullback(op, x_data, g),)
 
-    return record_op(_measure(op, x_data), (x,), pull)
+    out = record_op(_measure(op, x_data), (xt,), pull)
+    return out if isinstance(x, Tensor) else out.data
 
 
 def vjp(op, x, u):
-    """Jacobian-adjoint J(x)' u; differentiable in both x and u.
+    """Jacobian-adjoint J(x)' u: an array for arrays, else a Tensor.
 
-    The output is linear in u and affine in x, so its own backward rules are
-    exact window algebra: the u-gradient dots upstream window slices with the
-    window gradients, and the x-gradient routes them back through a (W2+W2').
+    Differentiable in both x and u.  The output is linear in u and affine in
+    x, so its own backward rules are exact window algebra: the u-gradient
+    dots upstream window slices with the window gradients, and the
+    x-gradient routes them back through a (W2+W2').
     """
-    if not isinstance(x, Tensor) and not isinstance(u, Tensor):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        _check_signal(op, x)
-        _check_obs(op, u)
-        return _pullback(op, x, u)
-    xt = x if isinstance(x, Tensor) else Tensor(x)
-    ut = u if isinstance(u, Tensor) else Tensor(u)
+    xt, ut = as_tensor(x), as_tensor(u)
     _check_signal(op, xt.data)
     _check_obs(op, ut.data)
     if xt.data.ndim != ut.data.ndim:
@@ -171,16 +169,15 @@ def vjp(op, x, u):
         return g_x, g_u
 
     out = _scatter_windows(op, u_data[..., :, None] * wgrads, x_data.shape)
-    return record_op(out, (xt, ut), pull)
+    out = record_op(out, (xt, ut), pull)
+    return out if isinstance(x, Tensor) or isinstance(u, Tensor) else out.data
 
 
 def data_grad(op, x, y_obs):
-    """Gradient of the data-consistency term 0.5 * ||F(x) - y||^2 at x."""
-    if isinstance(x, Tensor):
-        residual = sub(forward(op, x), y_obs if isinstance(y_obs, Tensor) else Tensor(y_obs))
-        return vjp(op, x, residual)
-    y_obs = np.asarray(y_obs, dtype=np.float64)
-    return _pullback(op, np.asarray(x, dtype=np.float64), _measure(op, x) - y_obs)
+    """Gradient of 0.5 * ||F(x) - y||^2 at x: an array for arrays, else a Tensor."""
+    xt = as_tensor(x)
+    out = vjp(op, xt, sub(forward(op, xt), y_obs))
+    return out if isinstance(x, Tensor) or isinstance(y_obs, Tensor) else out.data
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +250,9 @@ def gen_dataset(a, counts=(10000, 1000, 1000), seed=0, n=53, k=9, stride=4,
     """Draw signals from the TV prior and record their measurements."""
     if len(counts) != 3 or any(c <= 0 for c in counts):
         raise ValueError("counts must be three positive split sizes")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(
+            f"noise_sigma must be finite and non-negative, got {noise_sigma}")
     op = make_operator(a, seed=seed, n=n, k=k, stride=stride)
     splits = {}
     for si, (name, count) in enumerate(zip(SPLITS, counts)):

@@ -61,6 +61,32 @@ def test_gen_data_miniature_counts(tmp_path):
     assert os.path.getsize(os.path.join(out, "train_x.f64")) == 10 * 53 * 8
 
 
+def test_gen_data_rejects_a_negative_noise_level(tmp_path, capsys):
+    out = str(tmp_path / "d")
+    assert run("gen-data", "--a", "1", *TINY, "--noise-sigma", "-0.5",
+               "--out", out) == 2
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", [["gen-data", "--a", "1", "--out", "d"],
+                                     ["sweep", "--kind", "a"]],
+                         ids=["gen-data", "sweep"])
+def test_dataset_flags_are_shared_by_gen_data_and_sweep(command):
+    from dunets.cli import build_parser
+    parser = build_parser()
+
+    def dataset_flags(*argv):
+        args = vars(parser.parse_args([*command, *argv]))
+        return {key: args[key] for key in ("counts", "tv_scale", "noise_sigma")}
+
+    assert dataset_flags() == {"counts": "10000,1000,1000", "tv_scale": 0.1,
+                               "noise_sigma": 0.0}
+    assert dataset_flags("--counts", "5,4,3", "--tv-scale", "0.3",
+                         "--noise-sigma", "0.02") == \
+        {"counts": "5,4,3", "tv_scale": 0.3, "noise_sigma": 0.02}
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -218,6 +244,51 @@ def test_eval_appends_results_row(tmp_path, data_dir):
     assert len(rows) == 1 and rows[0]["split"] == "test"
 
 
+def test_eval_of_a_non_finite_model_fails_before_writing(tmp_path, data_dir,
+                                                        capsys):
+    from dunets.unrolling import load_model, save_model
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    model = load_model(os.path.join(out, run_dir, "checkpoint.bin"))
+    model.param_list()[0].data[0, 0, 0] = np.nan  # one NaN weight
+    bad = str(tmp_path / "nan.bin")
+    save_model(model, bad)
+    results = str(tmp_path / "results.csv")
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", bad, "--data", data_dir,
+               "--results", results) == 2
+    captured = capsys.readouterr()
+    assert "non-finite test mse" in captured.err
+    assert "mse nan" not in captured.out
+    assert not os.path.exists(results)
+
+
+def nan_test_split(monkeypatch):
+    """Make every test-split evaluation in the CLI read a NaN mean error."""
+    import dunets.cli as cli
+    from dunets.training import EvalStats
+
+    def nan_stats(model, x, y):
+        return EvalStats(mean=float("nan"), std=float("nan"),
+                         per_sample=np.full(len(x), np.nan))
+
+    monkeypatch.setattr(cli, "evaluate", nan_stats)
+
+
+def test_train_with_a_non_finite_test_mse_fails_before_writing(
+        tmp_path, data_dir, monkeypatch, capsys):
+    nan_test_split(monkeypatch)
+    out = str(tmp_path / "runs")
+    results = str(tmp_path / "results.csv")
+    assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
+               "--out", out, "--results", results) == 2
+    assert "non-finite test mse" in capsys.readouterr().err
+    (run_dir,) = os.listdir(out)
+    assert os.listdir(os.path.join(out, run_dir)) == []
+    assert not os.path.exists(results)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -372,6 +443,18 @@ def test_sweep_reports_failed_cells_and_exits_nonzero(tmp_path, monkeypatch, cap
     # the healthy cell still landed in the results
     rows = read_rows(os.path.join(out, "results.csv"))
     assert len(rows) == 1 and rows[0]["momentum"] == "none"
+
+
+def test_sweep_reports_a_non_finite_cell_as_failed(tmp_path, monkeypatch, capsys):
+    nan_test_split(monkeypatch)
+    out = str(tmp_path / "sweep")
+    assert run("sweep", "--kind", "a", "--grid", "1", "--models", "lpd",
+               "--momenta", "none", "--seeds", "0", *SWEEP_FAST,
+               "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "0 ran, 0 skipped, 1 failed" in captured.out
+    assert "non-finite test mse" in captured.err
+    assert not os.path.exists(os.path.join(out, "results.csv"))
 
 
 def test_interrupted_dataset_write_leaves_no_manifest(tmp_path, monkeypatch):

@@ -156,6 +156,20 @@ def test_stack_rejects_wrong_state_depth(rng):
         stack(Tensor(np.zeros(3)), stack.initial_state()[:1])
 
 
+def test_stack_step_starts_from_the_zero_state_bitwise():
+    rng = np.random.default_rng(8)
+    stack = LstmStack.create(rng, input_size=5, hidden_size=4, layers=2)
+    for batch in (None, 3):
+        shape = (5,) if batch is None else (batch, 5)
+        g1, g2 = rng.normal(size=shape), rng.normal(size=shape)
+        v1, state = stack.step(None, Tensor(g1))
+        v2, _ = stack.step(state, Tensor(g2))
+        r1, ref = stack(Tensor(g1), stack.initial_state(batch))
+        r2, _ = stack(Tensor(g2), ref)
+        assert v1.data.tobytes() == r1.data.tobytes()
+        assert v2.data.tobytes() == r2.data.tobytes()
+
+
 def test_fresh_stack_velocity_tracks_its_input(rng):
     # the output map starts as an approximate pass-through, so the initial
     # velocity points roughly along the incoming gradient

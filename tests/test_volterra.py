@@ -5,9 +5,10 @@ import pytest
 
 from dunets.autodiff import ShapeError, Tape, Tensor, backward, mul, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
-from dunets.volterra import (SPLITS, VolterraOperator, _sample_rng,
-                             _scatter_windows, data_grad, forward, gen_dataset, load_dataset,
-                             make_operator, sample_tv_prior, save_dataset, vjp)
+from dunets.volterra import (SPLITS, VolterraOperator, _measure, _pullback,
+                             _sample_rng, _scatter_windows, data_grad, forward,
+                             gen_dataset, load_dataset, make_operator,
+                             sample_tv_prior, save_dataset, vjp)
 
 
 def forward_oracle(op, x):
@@ -126,6 +127,13 @@ def test_forward_affine_in_a(rng, tiny_op):
     assert np.allclose(y2 - y1, y1 - y0, atol=1e-12)
 
 
+def test_operator_equality_is_identity():
+    op, twin = make_operator(1.0, 3), make_operator(1.0, 3)
+    assert op == op
+    assert not op == twin  # compared without raising; content is fingerprint()
+    assert op.fingerprint() == twin.fingerprint()
+
+
 def test_forward_rejects_wrong_length(tiny_op):
     with pytest.raises(ShapeError):
         forward(tiny_op, np.zeros(7))
@@ -230,6 +238,46 @@ def test_vjp_op_gradients_match_fd(rng, tiny_op):
     fd_u = fd_gradient(lambda xx, uu: float(vjp(tiny_op, xx, uu) @ w), [x, u], 1)
     assert rel_error(g[xt], fd_x) <= 1e-5
     assert rel_error(g[ut], fd_u) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# one path per op: arrays give arrays, Tensors give Tensors, same bits
+
+def _op_calls(op, x, u, y):
+    """name -> (call with inputs wrapped by ``wrap``, the plain-array formula)."""
+    return {
+        "forward": (lambda wrap: forward(op, wrap(x)), _measure(op, x)),
+        "vjp": (lambda wrap: vjp(op, wrap(x), wrap(u)), _pullback(op, x, u)),
+        "data_grad": (lambda wrap: data_grad(op, wrap(x), wrap(y)),
+                      _pullback(op, x, _measure(op, x) - y)),
+    }
+
+
+@pytest.mark.parametrize("geometry", [(11, 5, 3), (53, 9, 4)], ids=["tiny", "protocol"])
+@pytest.mark.parametrize("batch", [(), (7,)], ids=["unbatched", "B7"])
+def test_ops_give_arrays_for_arrays_and_tensors_for_tensors_bitwise(
+        rng, geometry, batch):
+    n, k, stride = geometry
+    op = make_operator(1.5, seed=5, n=n, k=k, stride=stride)
+    x = rng.normal(size=batch + (op.n,))
+    u, y = rng.normal(size=(2,) + batch + (op.m,))
+    for name, (call, formula) in _op_calls(op, x, u, y).items():
+        out = call(lambda a: a)
+        assert type(out) is np.ndarray, name
+        assert out.tobytes() == formula.tobytes(), name
+        out = call(Tensor)
+        assert isinstance(out, Tensor) and out.tape is None, name  # untracked
+        assert out.data.tobytes() == formula.tobytes(), name
+    # one Tensor among array inputs is enough for a Tensor result
+    assert isinstance(vjp(op, x, Tensor(u)), Tensor)
+    assert isinstance(data_grad(op, x, Tensor(y)), Tensor)
+
+
+def test_data_grad_rejects_wrong_length(tiny_op):
+    y = np.zeros(tiny_op.m)
+    for x in (np.ones(14), Tensor(np.ones(14)), np.ones((3, 14))):
+        with pytest.raises(ShapeError):
+            data_grad(tiny_op, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +395,12 @@ def test_gen_dataset_rows_equal_per_sample_prior_bytewise(noise_sigma):
             row = sample_tv_prior(53, scale, rng=_sample_rng(seed, si, i, 1))
             oracle = _walk_oracle(_sample_rng(seed, si, i, 1), 53, scale)
             assert x[i].tobytes() == row.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+def test_gen_dataset_rejects_a_bad_noise_level(sigma):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        gen_dataset(1.0, counts=(2, 1, 1), noise_sigma=sigma)
 
 
 def test_interrupted_manifest_write_leaves_no_manifest(tmp_path, torn_writes):
