@@ -77,28 +77,33 @@ def _format_cell(value):
     return str(value)
 
 
-def _append_result(path, row):
-    exists = os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(RESULT_COLUMNS)
-        writer.writerow([_format_cell(row[c]) for c in RESULT_COLUMNS])
-
-
-def _read_results(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _sort_results(path):
-    rows = _read_results(path)
-    rows.sort(key=lambda r: r["fingerprint"])
+def _write_rows(path, columns, rows):
+    """Replace the CSV at ``path`` whole: a header, then one line per row dict."""
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([row[c] for c in RESULT_COLUMNS])
+            writer.writerow([_format_cell(row[c]) for c in columns])
+
+
+def _read_rows(path, headers=(RESULT_COLUMNS,)):
+    """The rows of a CSV whose header is one of ``headers``; [] if no file.
+
+    Any other header, or a line whose field count differs from the header's,
+    raises ValueError naming the path.
+    """
+    if not os.path.exists(path):
+        return []
+    with open(path, newline="") as fh:
+        header, *lines = list(csv.reader(fh)) or [None]
+    if header not in headers or any(len(line) != len(header) for line in lines):
+        raise ValueError(f"{path}: not a well-formed results table")
+    return [dict(zip(header, line)) for line in lines]
+
+
+def _add_results(path, rows):
+    """Replace the results CSV at ``path`` with its rows, then ``rows``."""
+    _write_rows(path, RESULT_COLUMNS, _read_rows(path) + rows)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +227,13 @@ def _run_config(args, variant, momentum, seed, unroll=None, train_fraction=1.0,
 def cmd_train(args):
     run = _run_config(args, args.model, args.momentum, args.seed, args.T,
                       args.train_fraction)
+    if args.results:
+        _read_rows(args.results)  # refuse a non-results file before training
     row = _train_one(run, args.data, args.out, force=args.force)
     print(f"run {row['fingerprint']}: test mse {row['mse_mean']:.6e} "
           f"(std {row['mse_std']:.3e})")
     if args.results:
-        _append_result(args.results, row)
+        _add_results(args.results, [row])
     return 0
 
 
@@ -258,7 +265,7 @@ def cmd_eval(args):
                       split=args.split)
         record = {"fingerprint": fingerprint(config), "config": config,
                   "mse_mean": stats.mean, "mse_std": stats.std}
-        _append_result(args.results, _row_from_record(record, args.split))
+        _add_results(args.results, [_row_from_record(record, args.split)])
     return 0
 
 
@@ -322,15 +329,19 @@ def _sweep_cells(args):
 
 
 def _run_cell(payload):
+    """Train one sweep cell: (its row, None), or (None, the error it raised)."""
     run, data_dir, out_root = payload
-    return _train_one(run, data_dir, out_root, reuse=True)
+    try:
+        return _train_one(run, data_dir, out_root, reuse=True), None
+    except Exception as exc:  # report, do not kill the sweep
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
-    done = {row["fingerprint"] for row in _read_results(results_path)} \
-        if os.path.exists(results_path) else set()
+    rows = _read_rows(results_path)
+    done = {row["fingerprint"] for row in rows}
 
     cells = _sweep_cells(args)
     payloads = []
@@ -343,21 +354,18 @@ def cmd_sweep(args):
             continue
         payloads.append((run, data_dir, os.path.join(args.out, "runs")))
 
-    failures = []
-    outcomes = []
     if args.jobs > 1 and payloads:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_run_cell_safe, payloads))
+            outcomes = list(pool.map(_run_cell, payloads))
     else:
-        outcomes = [_run_cell_safe(payload) for payload in payloads]
-    for payload, (row, error) in zip(payloads, outcomes):
-        if error is not None:
-            failures.append((payload[0], error))
-        elif row is not None:
-            _append_result(results_path, row)
+        outcomes = [_run_cell(payload) for payload in payloads]
+    failures = [(payload[0], error) for payload, (_, error)
+                in zip(payloads, outcomes) if error is not None]
+    rows += [row for row, error in outcomes if error is None]
 
-    if os.path.exists(results_path):
-        _sort_results(results_path)
+    if rows or os.path.exists(results_path):
+        _write_rows(results_path, RESULT_COLUMNS,
+                    sorted(rows, key=lambda r: r["fingerprint"]))
     print(f"sweep complete: {len(payloads) - len(failures)} ran, "
           f"{len(cells) - len(payloads)} skipped, {len(failures)} failed")
     if failures:
@@ -366,13 +374,6 @@ def cmd_sweep(args):
                   f"seed={run.model.seed}: {error}", file=sys.stderr)
         return 2
     return 0
-
-
-def _run_cell_safe(payload):
-    try:
-        return _run_cell(payload), None
-    except Exception as exc:  # report, do not kill the sweep
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +396,10 @@ def _aggregate(rows):
     return out
 
 
-def _write_agg_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in AGG_COLUMNS])
-
-
 def _svg_plot(rows, x_col, path):
     """Self-contained SVG line plot: one polyline per variant-momentum series."""
+    if x_col not in rows[0]:
+        raise ValueError(f"no column {x_col!r} among {', '.join(rows[0])}")
     series = {}
     for row in rows:
         label = f"{row['variant']}-{row['momentum']}" if row["momentum"] != "none" \
@@ -455,18 +450,17 @@ def _svg_plot(rows, x_col, path):
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * i + 10}" '
                      f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
 def cmd_report(args):
-    rows = _read_results(args.results)
+    rows = _read_rows(args.results, (RESULT_COLUMNS, AGG_COLUMNS))
     if not rows:
         raise RuntimeError(f"{args.results}: no result rows to report")
-    already_aggregated = "n_runs" in rows[0]
-    agg = rows if already_aggregated else _aggregate(rows)
+    agg = rows if "n_runs" in rows[0] else _aggregate(rows)
     if args.format == "csv":
-        _write_agg_csv(args.out, agg)
+        _write_rows(args.out, AGG_COLUMNS, agg)
     else:
         _svg_plot(agg, args.x, args.out)
     print(f"wrote {args.format} report ({len(agg)} cells) to {args.out}")

@@ -69,6 +69,11 @@ class ModelConfig:
                                default_unroll(self.variant, self.momentum))
         if self.unroll < 0:
             raise ValueError("unroll count must be non-negative")
+        sizes = ("n_primal", "n_dual", "width", "kernel", "lstm_layers",
+                 "lstm_hidden")
+        if any(getattr(self, f) < 1 for f in sizes) or self.kernel % 2 == 0:
+            raise ValueError("sizes must be positive and the kernel odd, got "
+                             + ", ".join(f"{f}={getattr(self, f)}" for f in sizes))
         if self.variant == "lpd" and self.n_primal < 2:
             raise ValueError("lpd needs at least two primal channels")
         object.__setattr__(self, "seed", int(self.seed))

@@ -191,8 +191,8 @@ def _tv_walks(n, scale, count, rngs):
     """
     if n < 2:
         raise ValueError("need at least two grid points")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"tv scale must be finite and positive, got {scale}")
     x = np.empty((count, n))
     x[:, 0] = 0.0
     for row, rng in zip(x, rngs):

@@ -69,6 +69,15 @@ def test_gen_data_rejects_a_negative_noise_level(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_gen_data_rejects_a_bad_tv_scale(tmp_path, capsys, scale):
+    out = str(tmp_path / "d")
+    assert run("gen-data", "--a", "1", "--counts", "4,2,2", "--tv-scale", scale,
+               "--out", out) == 2
+    assert "tv scale" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", [["gen-data", "--a", "1", "--out", "d"],
                                      ["sweep", "--kind", "a"]],
                          ids=["gen-data", "sweep"])
@@ -156,6 +165,70 @@ def test_interrupted_record_write_leaves_old_record_or_none(tmp_path, data_dir,
         assert fh.read() == before
     assert sorted(os.listdir(os.path.join(out, run_dir))) == [
         "checkpoint.bin", "history.csv", "record.json"]
+
+
+def test_interrupted_train_results_write_keeps_old_results(tmp_path, data_dir,
+                                                           torn_writes):
+    out = str(tmp_path / "runs")
+    results = tmp_path / "results.csv"
+    argv = ["train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out,
+            "--results", str(results)]
+    assert run(*argv) == 0
+    before = results.read_bytes()
+    torn_writes.add("results.csv")
+    with pytest.raises(OSError, match="torn"):
+        run(*argv, "--seed", "1")
+    assert results.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["data", "results.csv", "runs"]
+    torn_writes.clear()
+    assert run(*argv, "--seed", "2") == 0
+    rows = read_rows(str(results))
+    assert len(rows) == 2 and [r["seed"] for r in rows] == ["0", "2"]
+    assert results.read_bytes().startswith(before)
+
+
+def test_results_flag_refuses_a_report_table(tmp_path, data_dir, capsys):
+    results = str(tmp_path / "results.csv")
+    seed_results_csv(results)
+    table = tmp_path / "table.csv"
+    assert run("report", "--results", results, "--out", str(table)) == 0
+    before = table.read_bytes()
+    out = str(tmp_path / "runs")
+    capsys.readouterr()
+    assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
+               "--out", out, "--results", str(table)) == 2
+    assert str(table) in capsys.readouterr().err
+    assert table.read_bytes() == before
+    assert not os.path.exists(out)  # refused before training
+    assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
+               "--out", out) == 0
+    (run_dir,) = os.listdir(out)
+    assert run("eval", "--checkpoint", os.path.join(out, run_dir, "checkpoint.bin"),
+               "--data", data_dir, "--results", str(table)) == 2
+    assert table.read_bytes() == before
+
+
+@pytest.mark.parametrize("line", ["f9,lpd", "f9" + ",0" * 16],
+                         ids=["missing-fields", "extra-fields"])
+def test_results_with_a_ragged_row_are_refused_unchanged(tmp_path, line):
+    from dunets.cli import _add_results
+    path = tmp_path / "results.csv"
+    seed_results_csv(str(path))
+    with open(path, "a", newline="") as fh:
+        fh.write(line + "\r\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        _add_results(str(path), [])
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", ["--L", "--n", "--width"])
+def test_train_rejects_a_zero_model_size(tmp_path, data_dir, capsys, flag):
+    out = str(tmp_path / "runs")
+    assert run("train", "--model", "lpd", "--momentum", "rma", *FAST, flag, "0",
+               "--data", data_dir, "--out", out) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +497,14 @@ def test_sweep_parallel_jobs_match_serial_results(tmp_path):
 
 def test_sweep_reports_failed_cells_and_exits_nonzero(tmp_path, monkeypatch, capsys):
     import dunets.cli as cli
+    train_one = cli._train_one
 
-    def exploding(payload):
-        run_config, _, _ = payload
+    def exploding(run_config, *args, **kwargs):
         if run_config.model.momentum == "ma":
             raise RuntimeError("synthetic cell failure")
-        return cli._train_one(*payload, reuse=True)
+        return train_one(run_config, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_run_cell", exploding)
+    monkeypatch.setattr(cli, "_train_one", exploding)
     out = str(tmp_path / "sweep")
     code = run("sweep", "--kind", "a", "--grid", "1", "--models", "lpd",
                "--momenta", "none,ma", "--seeds", "0", *SWEEP_FAST,
@@ -576,32 +649,39 @@ def test_sweep_cell_is_the_train_run_with_equal_settings(
 # report
 
 def seed_results_csv(path):
-    from dunets.cli import RESULT_COLUMNS, _append_result
+    from dunets.cli import _add_results
     base = {"variant": "lpd", "momentum": "rma", "T": 10, "L": 1, "n": 50,
             "a": 1.0, "data_size": 100, "epochs": 2, "batch_size": 8,
             "lr0": 0.001, "width": 4, "split": "test", "mse_std": 0.0}
     for seed, value in ((0, 1.0), (1, 2.0), (2, 3.0)):
         row = dict(base)
         row.update({"fingerprint": f"f{seed}", "seed": seed, "mse_mean": value})
-        _append_result(path, row)
+        _add_results(path, [row])
 
 
 def test_interrupted_results_sort_keeps_every_row(tmp_path, torn_writes):
-    from dunets.cli import _append_result, _sort_results
-    path = str(tmp_path / "results.csv")
+    # a sweep writes its results once, sorted; seeded rows sort after its own
+    out = tmp_path / "sweep"
+    out.mkdir()
+    path = str(out / "results.csv")
     seed_results_csv(path)
-    _append_result(path, {**read_rows(path)[0], "fingerprint": "a0"})
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         before = fh.read()
+    argv = ["sweep", "--kind", "a", "--grid", "1", "--models", "lpd",
+            "--momenta", "none", "--seeds", "0", *SWEEP_FAST, "--out", str(out)]
     torn_writes.add("results.csv")
     with pytest.raises(OSError, match="torn"):
-        _sort_results(path)
-    with open(path) as fh:
+        run(*argv)
+    with open(path, "rb") as fh:
         assert fh.read() == before
-    assert os.listdir(tmp_path) == ["results.csv"]
+    assert sorted(os.listdir(out)) == ["datasets", "results.csv", "runs"]
     torn_writes.clear()
-    _sort_results(path)
-    assert [r["fingerprint"] for r in read_rows(path)] == ["a0", "f0", "f1", "f2"]
+    assert run(*argv) == 0  # reuses the recorded run
+    (new,) = os.listdir(out / "runs")
+    assert [r["fingerprint"] for r in read_rows(path)] == sorted(
+        [new, "f0", "f1", "f2"])
+    with open(path, "rb") as fh:
+        assert set(before.splitlines()) <= set(fh.read().splitlines())
 
 
 def test_report_aggregates_mean_and_sample_std(tmp_path):
@@ -628,7 +708,7 @@ def test_report_is_idempotent_on_aggregated_input(tmp_path):
 
 
 def test_report_svg_one_polyline_per_series(tmp_path):
-    from dunets.cli import RESULT_COLUMNS, _append_result
+    from dunets.cli import RESULT_COLUMNS, _add_results
     results = str(tmp_path / "results.csv")
     for variant, momentum in (("lpd", "none"), ("lpd", "rma"), ("lpgd", "ma")):
         for a, value in ((0.0, 1.0), (1.0, 2.0)):
@@ -639,13 +719,39 @@ def test_report_svg_one_polyline_per_series(tmp_path):
                         "seed": 0, "epochs": 1, "batch_size": 8, "lr0": 1e-3,
                         "width": 4, "split": "test", "mse_mean": value,
                         "mse_std": 0.0})
-            _append_result(results, row)
+            _add_results(results, [row])
     out = str(tmp_path / "plot.svg")
     assert run("report", "--results", results, "--format", "svg",
                "--x", "a", "--out", out) == 0
     svg = open(out).read()
     assert svg.count("<polyline") == 3
     assert "test MSE" in svg
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_interrupted_report_write_keeps_old_report(tmp_path, torn_writes, fmt):
+    results = str(tmp_path / "results.csv")
+    seed_results_csv(results)
+    out = tmp_path / f"report.{fmt}"
+    argv = ["report", "--results", results, "--format", fmt, "--out", str(out)]
+    assert run(*argv) == 0
+    before = out.read_bytes()
+    torn_writes.add(out.name)
+    with pytest.raises(OSError, match="torn"):
+        run(*argv)
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == sorted(["results.csv", out.name])
+
+
+def test_report_svg_of_a_missing_column_fails(tmp_path, capsys):
+    results = str(tmp_path / "results.csv")
+    seed_results_csv(results)
+    out = str(tmp_path / "plot.svg")
+    assert run("report", "--results", results, "--format", "svg",
+               "--x", "nope", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "data_size" in err
+    assert not os.path.exists(out)
 
 
 def test_report_empty_results_fails(tmp_path):

@@ -9,9 +9,9 @@ from dunets import autodiff, volterra
 from dunets.autodiff import Tape, Tensor, backward, scale, sub, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
 from dunets.layers import Conv1dLayer, load_params
-from dunets.unrolling import (MOMENTA, VARIANTS, MomentumMA, UnrollModel,
-                              default_unroll, fuse_direction, load_model,
-                              save_model)
+from dunets.unrolling import (MOMENTA, VARIANTS, ModelConfig, MomentumMA,
+                              UnrollModel, default_unroll, fuse_direction,
+                              load_model, save_model)
 from dunets.volterra import make_operator
 
 
@@ -108,6 +108,14 @@ def test_build_validates_names(tiny_op):
         UnrollModel.build("lpd", "nesterov", tiny_op)
     with pytest.raises(ValueError):
         UnrollModel.build("lpd", "none", tiny_op, n_primal=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_primal", 0), ("n_dual", 0), ("width", 0), ("kernel", 0), ("kernel", 4),
+    ("lstm_layers", 0), ("lstm_hidden", -1)])
+def test_config_rejects_non_positive_sizes_and_an_even_kernel(field, value):
+    with pytest.raises(ValueError, match=f"{field}={value}"):
+        ModelConfig("lpgd", "rma", **{field: value})
 
 
 def test_same_seed_builds_identical_models(tiny_op):

@@ -403,6 +403,14 @@ def test_gen_dataset_rejects_a_bad_noise_level(sigma):
         gen_dataset(1.0, counts=(2, 1, 1), noise_sigma=sigma)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_tv_prior_rejects_a_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="tv scale"):
+        sample_tv_prior(10, scale=scale, seed=0)
+    with pytest.raises(ValueError, match="tv scale"):
+        gen_dataset(1.0, counts=(2, 1, 1), tv_scale=scale)
+
+
 def test_interrupted_manifest_write_leaves_no_manifest(tmp_path, torn_writes):
     ds = gen_dataset(1.0, counts=(5, 3, 2), seed=9, n=11, k=5, stride=3)
     out = str(tmp_path / "ds")
