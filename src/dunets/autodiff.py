@@ -159,7 +159,8 @@ def backward(loss, params):
                     continue
                 prev = grads.get(id(t))
                 grads[id(t)] = g if prev is None else prev + g
-    return {p: grads.get(id(p), np.zeros_like(p.data)) for p in params}
+    return {p: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+            for p in params}
 
 
 # ---------------------------------------------------------------------------
@@ -286,24 +287,30 @@ def _im2col(xb, k):
 
     Row ``c·k + j``, column ``b·N + m`` holds ``xb[b, c, m + j - k//2]``
     (zero outside the signal), so a ``(C_out, C·k)`` kernel matrix times the
-    columns correlates the whole batch in one GEMM.  The columns are filled
-    from ``xb.transpose(1, 0, 2)``, a free view of a channel-major batch, by
-    k shifted slice copies whose uncovered edges are zeroed; no padded copy
-    of the input is made.
+    columns correlates the whole batch in one GEMM.  The batch is read as C
+    rows of B·N values, a free view of a channel-major batch (or of a sample
+    slice of one); another layout is copied once.  Tap j is one 2-D copy of
+    those rows shifted by d = j - k//2; then, per sample, the |d| positions
+    whose read crossed a sample edge (which include the row ends the copy
+    left unwritten) are zeroed, or the whole tap when |d| >= N.  No padded
+    copy of the input is made.
     """
     b_sz, c, n = xb.shape
-    pad = k // 2
-    xc = xb.transpose(1, 0, 2)
+    bn = b_sz * n
+    rows = xb.transpose(1, 0, 2).reshape(c, bn)
     cols = np.empty((c, k, b_sz, n))
+    taps = cols.reshape(c, k, bn)
     for j in range(k):
-        # output positions [lo, hi) read input positions [lo + j - pad, hi + j - pad)
-        lo = min(n, max(0, pad - j))
-        hi = max(lo, min(n, n + pad - j))
-        tap = cols[:, j]
-        tap[:, :, lo:hi] = xc[:, :, lo + j - pad:hi + j - pad]
-        tap[:, :, :lo] = 0.0
-        tap[:, :, hi:] = 0.0
-    return cols.reshape(c * k, b_sz * n)
+        d = j - k // 2
+        if abs(d) >= n:
+            cols[:, j] = 0.0
+        elif d >= 0:
+            taps[:, j, :bn - d] = rows[:, d:]
+            cols[:, j, :, n - d:] = 0.0
+        else:
+            taps[:, j, -d:] = rows[:, :bn + d]
+            cols[:, j, :, :-d] = 0.0
+    return cols.reshape(c * k, bn)
 
 
 # Samples per im2col block in ``_correlate``.  At protocol shapes (C·k = 96,
@@ -446,12 +453,10 @@ def conv1d(x, kernel, bias):
 # nonlinearities
 
 def _sigmoid_data(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, so each branch
+    # is the overflow-free formula for its sign, on the same inputs
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def tanh(a):

@@ -213,7 +213,14 @@ class LstmStack:
 # optimizer, schedule, clipping
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list."""
+    """Bias-corrected Adam over a fixed parameter list.
+
+    The moments ``m`` and ``v`` are single float64 vectors over all
+    parameters, in list order.  Each step reads every ``p.data`` afresh, runs
+    the elementwise update once over the concatenated values and rebinds each
+    ``p.data`` to a view of one new array, so arrays that held the old values
+    are never written.
+    """
 
     def __init__(self, params, beta1=0.9, beta2=0.99, eps=1e-8):
         self.params = list(params)
@@ -221,24 +228,34 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._edges = np.cumsum([0, *(p.data.size for p in self.params)])
+        self.m = np.zeros(self._edges[-1])
+        self.v = np.zeros(self._edges[-1])
 
     def step(self, grads, lr):
-        """Apply one update; ``grads`` aligns with the parameter list."""
+        """Apply one update; ``grads`` aligns with the parameter list.
+
+        Every gradient is checked before any state changes.
+        """
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
+        for p, g in zip(self.params, grads):
+            if g.shape != p.data.shape:
+                raise ValueError(f"gradient shape {g.shape} != param {p.data.shape}")
+        g = np.concatenate([np.zeros(0), *(x.ravel() for x in grads)])
+        data = np.concatenate([np.zeros(0), *(p.data.ravel() for p in self.params)])
+        if data.size != self.m.size:
+            raise ValueError("parameter sizes changed since the optimizer was made")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} != param {p.data.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        data = data - lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        for p, lo, hi in zip(self.params, self._edges[:-1], self._edges[1:]):
+            p.data = data[lo:hi].reshape(p.data.shape)
 
 
 @dataclass

@@ -103,13 +103,13 @@ def _window_grads(op, x):
 
 def _scatter_windows(op, contrib, out_shape):
     """Sum per-window (..., m, k) contributions back onto the signal axis."""
-    g = np.zeros(out_shape)
-    span = op.stride * (op.m - 1) + 1
-    # tap j adds window i at position i·s + j; taking the taps from last to
-    # first adds each position's windows in ascending i, as a per-window loop
-    for j in range(op.k - 1, -1, -1):
-        g[..., j:j + span:op.stride] += contrib[..., :, j]
-    return g
+    # bincount adds its weights in input order, so each position sums its
+    # windows in ascending i, starting from 0.0, as a per-window loop does;
+    # positions no window covers (stride > k) stay 0
+    rows = contrib.size // op._idx.size
+    index = (np.arange(0, rows * op.n, op.n)[:, None] + op._idx.ravel()).ravel()
+    g = np.bincount(index, weights=contrib.ravel(), minlength=rows * op.n)
+    return g.reshape(out_shape)
 
 
 def _pullback(op, x, u):

@@ -236,6 +236,28 @@ def test_conv1d_pull_builds_one_set_of_columns(rng, monkeypatch):
         built.clear()
 
 
+def test_im2col_matches_zero_padded_per_tap_oracle_bitwise(rng):
+    # rows read across sample edges must come out zero, in every layout and
+    # when the signal is shorter than the kernel (N < k)
+    c = 3
+    for n in (1, 2, 9):
+        for k in (1, 3, 5):
+            pad = k // 2
+            for b_sz in (1, 7, 32, 41, 64):
+                x = rng.normal(size=(b_sz + 2, c, n))
+                batches = [np.ascontiguousarray(x[:b_sz]), channel_major(x[:b_sz]),
+                           channel_major(x)[1:b_sz + 1]]
+                if b_sz == 1:
+                    batches.append(x[0][None])  # an unbatched conv1d input
+                for xb in batches:
+                    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
+                    taps = np.stack([xp[:, :, j:j + n] for j in range(k)], axis=2)
+                    oracle = taps.transpose(1, 2, 0, 3).reshape(c * k, b_sz * n)
+                    cols = autodiff._im2col(xb, k)
+                    assert cols.shape == oracle.shape
+                    assert cols.tobytes() == oracle.tobytes()
+
+
 def test_conv1d_rejects_even_kernel_and_channel_mismatch():
     with pytest.raises(ShapeError, match="odd"):
         conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))),
@@ -260,6 +282,21 @@ def test_conv1d_batched_consistent_with_per_sample(rng):
 
 def test_sigmoid_at_zero():
     assert sigmoid(Tensor([0.0])).data[0] == 0.5
+
+
+def test_sigmoid_matches_masked_select_reference():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300,
+                  np.nan, 2.5, -2.5, 36.0, -36.0, 710.0, -745.0])
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    for shape in (x.shape, (3, 5)):
+        out = autodiff._sigmoid_data(x.reshape(shape)).reshape(-1)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == ref[~nan].tobytes()
 
 
 def test_prelu_negative_side():

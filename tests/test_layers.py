@@ -306,6 +306,65 @@ def test_adam_rejects_mismatched_gradients():
         opt.step([np.zeros(2)], lr=1e-3)
 
 
+def test_adam_rejects_a_bad_gradient_before_changing_state(rng):
+    p, q = Tensor(rng.normal(size=(3,))), Tensor(rng.normal(size=(2, 2)))
+    opt = Adam([p, q])
+    opt.step([rng.normal(size=(3,)), rng.normal(size=(2, 2))], lr=1e-2)
+    before = [p.data.copy(), q.data.copy()]
+    with pytest.raises(ValueError):
+        opt.step([rng.normal(size=(3,)), rng.normal(size=(4,))], lr=1e-2)
+    assert opt.t == 1
+    assert np.array_equal(p.data, before[0]) and np.array_equal(q.data, before[1])
+    q.data = np.zeros(5)  # a rebind that no longer fits the moments
+    with pytest.raises(ValueError, match="sizes changed"):
+        opt.step([rng.normal(size=(3,)), rng.normal(size=(5,))], lr=1e-2)
+    assert opt.t == 1 and np.array_equal(p.data, before[0])
+
+
+def test_flat_adam_matches_per_tensor_loop_bitwise(rng):
+    beta1, beta2, eps = 0.8, 0.95, 1e-7
+    shapes = [(), (3,), (2, 4), (2, 3, 5), (1,)]
+    start = [rng.normal(size=s) for s in shapes]
+    params = [Tensor(a.copy()) for a in start]
+    opt = Adam(params, beta1=beta1, beta2=beta2, eps=eps)
+    ref = [a.copy() for a in start]
+    m = [np.zeros_like(a) for a in start]
+    v = [np.zeros_like(a) for a in start]
+    for t in range(1, 6):
+        if t == 3:
+            # the caller rebinds one parameter; Adam must read it afresh and
+            # never write the array it was handed
+            rebound = rng.normal(size=shapes[2])
+            params[2].data = rebound
+            ref[2] = rebound.copy()
+            handed = rebound.tobytes()
+        grads = [rng.normal(size=s) for s in shapes]
+        lr = 1e-2 / t
+        opt.step(grads, lr)
+        c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        for i, g in enumerate(grads):
+            m[i] *= beta1
+            m[i] += (1.0 - beta1) * g
+            v[i] *= beta2
+            v[i] += (1.0 - beta2) * g * g
+            ref[i] = ref[i] - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+        for p, r in zip(params, ref):
+            assert p.data.shape == r.shape
+            assert p.data.tobytes() == r.tobytes()
+    assert rebound.tobytes() == handed
+    assert opt.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
+
+
+def test_adam_over_no_parameters():
+    opt = Adam([])
+    opt.step([], lr=1e-3)
+    opt.step([], lr=1e-3)
+    assert opt.t == 2 and opt.m.size == 0
+    with pytest.raises(ValueError):
+        opt.step([np.zeros(1)], lr=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # schedule and clipping
 
