@@ -17,7 +17,7 @@ without a copy.  No value depends on the layout: the reductions whose order
 it could change (``sum_all``, the PReLU slope gradient) fix their order.
 
 Two lanes: a batch of more than ``_TILE`` samples, on a host whose CPU
-affinity holds at least two CPUs, runs conv1d's column blocks and the PReLU
+affinity holds at least two CPUs, runs conv1d's sample blocks and the PReLU
 forward's channel chunks on the calling thread and one helper thread
 (``_blockwise``).  Each block is a single-threaded numpy pass that writes
 its own slice of the output, with the same block boundaries either way, so
@@ -313,7 +313,7 @@ def _im2col(xb, k):
     return cols.reshape(c * k, bn)
 
 
-# Samples per im2col block in ``_correlate``.  At protocol shapes (C·k = 96,
+# Samples per block in ``_tiled``.  At protocol shapes (C·k = 96,
 # N = 53) a 32-sample block of float64 columns takes 1.3 MB and stays in a
 # 2 MiB L2 cache while its GEMM reads it; a whole B=256 batch takes 10.4 MB.
 _TILE = 32
@@ -373,26 +373,60 @@ def _blockwise(fn, edges):
         lane.result()  # raises the helper's exception, if any
 
 
+def _tiled(rows, b_sz, n, block):
+    """A (rows, B, N) result computed ``_TILE`` samples at a time.
+
+    ``block(part, lo, hi)`` fills ``part``, the (rows, (hi - lo)·N) column
+    range of samples [lo, hi) in one result allocated up front, so the
+    long-lived result sits below each block's short-lived temporaries.  Up
+    to _TILE samples this is a single block; above it the blocks run on two
+    lanes (``_blockwise``).
+    """
+    out = np.empty((rows, b_sz * n))
+    _blockwise(lambda lo, hi: block(out[:, lo * n:hi * n], lo, hi),
+               [*range(0, b_sz, _TILE), b_sz])
+    return out.reshape(rows, b_sz, n)
+
+
 def _correlate(kmat, cols, b_sz, n, bias=None):
     """``kmat @ cols(lo, hi)`` (plus ``bias`` per row) as a (C_out, B, N) array.
 
     ``cols(lo, hi)`` gives the (C·k, (hi - lo)·N) im2col columns of samples
-    [lo, hi) of the b_sz-sample batch.  They are taken and multiplied _TILE
-    samples at a time, each GEMM writing its own column range of one result
-    allocated up front, so the long-lived result sits below the short-lived
-    column blocks.  Up to _TILE samples this is a single GEMM; above it the
-    blocks run on two lanes (``_blockwise``).
+    [lo, hi) of the b_sz-sample batch; they are taken and multiplied one
+    tile at a time (``_tiled``).
     """
-    out = np.empty((kmat.shape[0], b_sz * n))
-
-    def block(lo, hi):
-        part = out[:, lo * n:hi * n]
+    def block(part, lo, hi):
         np.matmul(kmat, cols(lo, hi), out=part)
         if bias is not None:
             part += bias[:, None]
 
-    _blockwise(block, [*range(0, b_sz, _TILE), b_sz])
-    return out.reshape(-1, b_sz, n)
+    return _tiled(kmat.shape[0], b_sz, n, block)
+
+
+def _correlate_taps(kstack, k, rows, b_sz, n, bias=None):
+    """``_correlate``'s result, with the taps summed after the GEMM.
+
+    ``kstack`` is (k·C_out, C), row ``j·C_out + o`` holding output o's tap j;
+    ``rows(lo, hi)`` gives samples [lo, hi) as (C, (hi - lo)·N) rows.  Output
+    position m sums, over j, the GEMM's tap-j value at m + j - k//2 of the
+    same sample, and nothing past the sample's edge: the centre tap first,
+    then the others in order, then ``bias``.
+    """
+    c_out, h = len(kstack) // k, k // 2
+
+    def block(part, lo, hi):
+        taps = (kstack @ rows(lo, hi)).reshape(k, c_out, hi - lo, n)
+        acc = part.reshape(c_out, hi - lo, n)  # a view of part
+        acc[...] = taps[h]
+        for j in range(k):
+            d = j - h
+            if d and abs(d) < n:  # position m in [m0, m1) reads m + d in the sample
+                m0, m1 = max(0, -d), n - max(0, d)
+                acc[..., m0:m1] += taps[j, ..., m0 + d:m1 + d]
+        if bias is not None:
+            part += bias[:, None]
+
+    return _tiled(c_out, b_sz, n, block)
 
 
 def conv1d(x, kernel, bias):
@@ -401,18 +435,26 @@ def conv1d(x, kernel, bias):
     x: (C_in, N) or (B, C_in, N); kernel: (C_out, C_in, k) with odd k;
     bias: (C_out,).  Output length equals N (zero padding).
 
-    The output is one channel-major im2col GEMM per block of the input's
-    samples (``_correlate``).  The pull builds one set of columns, the output
-    gradient's, for the whole batch, and takes both gradients from them.
-    The input gradient is the adjoint: the flipped, transposed kernel times
-    those columns, block by block through the same routine.  The kernel
-    gradient is one GEMM of the input, seen as (C_in, B·N), with the same
-    columns: ``g_K[o, c, j]`` is entry ``(c, o·k + k-1-j)`` of the product,
-    and its reduction over samples is never split.  The tape keeps no column
-    buffer.
+    im2col columns copy each channel k times, so each direction builds them
+    on its narrower side, chosen from the kernel's shape alone:
 
-    A batched output, like the input gradient, is the channel-major GEMM
-    result seen through a free transpose.
+    - Forward: one GEMM of the kernel with the input's columns per block of
+      samples (``_correlate``).  When ``k·C_out <= C_in`` (the 32->1 and
+      32->5 output convs), the tap-stacked kernel times the input's rows
+      instead, with the taps then summed (``_correlate_taps``).
+    - Pull: the output gradient's columns, built once for the whole batch.
+      The input gradient is the flipped, transposed kernel times them, block
+      by block; the kernel gradient is one GEMM of the input, seen as
+      (C_in, B·N), with them: ``g_K[o, c, j]`` is entry ``(c, o·k + k-1-j)``
+      of the product.  When ``k·C_in <= C_out`` (the 2/6/7->32 input convs),
+      the input's columns instead: ``g_K`` is one GEMM of the output
+      gradient with them, and the input gradient is the flipped, tap-stacked
+      transposed kernel times the gradient's rows, its taps summed.
+
+    The tap-summing paths round differently from a column GEMM.  The kernel
+    gradient's reduction over samples is never split, and the tape keeps no
+    column buffer.  A batched output, like the input gradient, is the
+    channel-major result seen through a free transpose.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.data.ndim != 3:
@@ -430,20 +472,33 @@ def conv1d(x, kernel, bias):
     xb = x.data if batched else x.data[None]
     kdata = kernel.data
     b_sz, _, n = xb.shape
-    out = _correlate(kdata.reshape(c_out, c_in * k),
-                     lambda lo, hi: _im2col(xb[lo:hi], k), b_sz, n, bias.data)
+    if k * c_out <= c_in:
+        kstack = kdata.transpose(2, 0, 1).reshape(k * c_out, c_in)
+        out = _correlate_taps(
+            kstack, k, lambda lo, hi: xb[lo:hi].transpose(1, 0, 2).reshape(c_in, -1),
+            b_sz, n, bias.data)
+    else:
+        out = _correlate(kdata.reshape(c_out, c_in * k),
+                         lambda lo, hi: _im2col(xb[lo:hi], k), b_sz, n, bias.data)
     out = out.transpose(1, 0, 2)
 
     def pull(g):
         gb = g if batched else g[None]
-        gcols = _im2col(gb, k)
-        x_t = xb.transpose(1, 0, 2).reshape(c_in, b_sz * n)
-        g_kernel = np.ascontiguousarray(
-            (x_t @ gcols.T).reshape(c_in, c_out, k)[:, :, ::-1].transpose(1, 0, 2))
-        kflip = kdata[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-        g_x = _correlate(kflip, lambda lo, hi: gcols[:, lo * n:hi * n],
-                         b_sz, n).transpose(1, 0, 2)
         g_t = gb.transpose(1, 0, 2).reshape(c_out, b_sz * n)
+        if k * c_in <= c_out:
+            xcols = _im2col(xb, k)
+            g_kernel = (g_t @ xcols.T).reshape(c_out, c_in, k)
+            kflip = kdata[:, :, ::-1].transpose(2, 1, 0).reshape(k * c_in, c_out)
+            g_x = _correlate_taps(kflip, k, lambda lo, hi: g_t[:, lo * n:hi * n],
+                                  b_sz, n)
+        else:
+            gcols = _im2col(gb, k)
+            x_t = xb.transpose(1, 0, 2).reshape(c_in, b_sz * n)
+            g_kernel = np.ascontiguousarray(
+                (x_t @ gcols.T).reshape(c_in, c_out, k)[:, :, ::-1].transpose(1, 0, 2))
+            kflip = kdata[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
+            g_x = _correlate(kflip, lambda lo, hi: gcols[:, lo * n:hi * n], b_sz, n)
+        g_x = g_x.transpose(1, 0, 2)
         return (g_x if batched else g_x[0]), g_kernel, g_t.sum(axis=1)
 
     return record_op(out if batched else out[0], (x, kernel, bias), pull)
@@ -509,10 +564,17 @@ def prelu(x, slope):
     _blockwise(chunk, [c * i // chunks for i in range(chunks + 1)])
 
     def pull(g):
-        neg = xd < 0
-        g_x = g * (neg * s + ~neg)
+        # the factor neg·s + ~neg, with both masks cast to 0.0/1.0 first, and
+        # the products g·factor and g·min(x, 0), formed in two buffers
+        g_x = (xd < 0).astype(np.float64)
+        m = 1.0 - g_x
+        g_x *= s
+        g_x += m
+        np.multiply(g, g_x, out=g_x)
+        np.minimum(xd, 0.0, out=m)
+        np.multiply(g, m, out=m)
         # rows over N, then samples in order, whatever the memory layout
-        g_s = (g * np.minimum(xd, 0.0)).sum(axis=-1)
+        g_s = m.sum(axis=-1)
         if g_s.ndim == 2:
             g_s = np.ascontiguousarray(g_s).sum(axis=0)
         return g_x, g_s

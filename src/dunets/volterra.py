@@ -10,6 +10,7 @@ Jacobian-adjoint participate in reverse-mode graphs so reconstruction
 networks can be trained end-to-end through them.
 """
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ class VolterraOperator:
             raise ValueError(
                 f"window size {k} and stride {self.stride} do not tile length {self.n}")
         self._w2sym = self.w2 + self.w2.T
-        self._idx = np.arange(self.m)[:, None] * self.stride + np.arange(k)
+        self._idx = _window_positions(self.n, k, self.stride, 1).reshape(self.m, k)
 
     @property
     def k(self):
@@ -76,6 +77,21 @@ class VolterraOperator:
         return np.take(x, self._idx, axis=-1)
 
 
+@functools.lru_cache(maxsize=8)
+def _window_positions(n, k, stride, rows):
+    """The flat signal position of every (row, window, tap) of ``rows`` signals.
+
+    Read-only, and shared by every operator of one geometry rather than
+    kept per operator, because an evaluation loads one operator per model
+    and every copy would stay allocated.
+    """
+    m = (n - k) // stride + 1
+    taps = np.arange(m)[:, None] * stride + np.arange(k)
+    index = (np.arange(0, rows * n, n)[:, None] + taps.ravel()).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def make_operator(a, seed, n=53, k=9, stride=4):
     """Seeded operator: w1 ~ N(0, 1/k), upper-triangular W2 ~ N(0, 1/k^2)."""
     if a < 0:
@@ -87,12 +103,37 @@ def make_operator(a, seed, n=53, k=9, stride=4):
                             n=n, seed=int(seed))
 
 
+# Windows per block of ``_quad_form``: its (k, k, windows) products then take
+# 2.6 MB at k = 9, whatever the number of rows measured.
+_QUAD_WINDOWS = 4096
+
+
+def _quad_form(w2, w):
+    """w' W2 w for each (..., k) window of ``w``, rounded as an einsum.
+
+    ``einsum("...mi,ij,...mj->...m")`` adds the terms (w_i·W_ij)·w_j one at
+    a time over (i, j) in C order, starting from 0.0.  Here each block of
+    windows forms all k·k terms at once and adds their rows in that order
+    (``np.add.reduce`` over the leading axis), so every window gets the
+    einsum's bits, a NaN's sign aside, from a few long numpy calls.
+    """
+    k = w2.shape[0]
+    flat = w.reshape(-1, k)
+    out = np.empty(len(flat))
+    for lo in range(0, len(flat), _QUAD_WINDOWS):
+        block = flat[lo:lo + _QUAD_WINDOWS].T.copy()  # (k, windows)
+        terms = w2[:, :, None] * block[:, None, :]
+        terms *= block
+        np.add.reduce(terms.reshape(k * k, -1), axis=0, initial=0.0,
+                      out=out[lo:lo + _QUAD_WINDOWS])
+    return out.reshape(w.shape[:-1])
+
+
 def _measure(op, x):
     """y for plain arrays x of shape (n,) or (B, n)."""
     w = op._windows(x)
-    quad = np.einsum("...mi,ij,...mj->...m", w, op.w2, w)
     lin = w @ op.w1
-    return op.a * quad + lin + op.b
+    return op.a * _quad_form(op.w2, w) + lin + op.b
 
 
 def _window_grads(op, x):
@@ -107,7 +148,7 @@ def _scatter_windows(op, contrib, out_shape):
     # windows in ascending i, starting from 0.0, as a per-window loop does;
     # positions no window covers (stride > k) stay 0
     rows = contrib.size // op._idx.size
-    index = (np.arange(0, rows * op.n, op.n)[:, None] + op._idx.ravel()).ravel()
+    index = _window_positions(op.n, op.k, op.stride, rows)
     g = np.bincount(index, weights=contrib.ravel(), minlength=rows * op.n)
     return g.reshape(out_shape)
 

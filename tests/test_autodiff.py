@@ -155,9 +155,22 @@ SMALL_CONV_SHAPES = [
     (2, 2, 4, 1, 1),
     (64, 2, 5, 3, 3),     # two whole 32-sample column blocks
     (41, 3, 4, 2, 3),     # a whole block and a ragged one
+    # k·C_out <= C_in: the forward sums the taps of the output side
+    (3, 7, 6, 2, 3),
+    (2, 6, 5, 2, 3),      # on the rule's edge
+    (40, 9, 5, 3, 3),     # over two tiles
+    (None, 5, 4, 1, 5),   # k = 5 with N < k
+    (2, 5, 2, 1, 5),      # N = 2: the outer taps read padding only
+    # k·C_in <= C_out: the pull builds the input's columns
+    (3, 2, 6, 7, 3),
+    (2, 2, 5, 6, 3),      # on the rule's edge
+    (40, 2, 5, 7, 3),     # over two tiles
+    (1, 1, 2, 5, 5),      # N < k
 ]
-# the protocol's hidden and output convs at the training batch size
-PROTOCOL_CONV_SHAPES = [(32, 32, 53, 32, 3), (32, 32, 53, 1, 3)]
+# the protocol's hidden and output convs at the training batch size, and
+# the lpd input and output convs
+PROTOCOL_CONV_SHAPES = [(32, 32, 53, 32, 3), (32, 32, 53, 1, 3),
+                        (32, 7, 53, 32, 3), (32, 32, 53, 5, 3)]
 CONV_SHAPES = SMALL_CONV_SHAPES + PROTOCOL_CONV_SHAPES
 
 
@@ -209,31 +222,97 @@ def test_conv1d_adjoint_identity(rng):
         assert np.allclose(gx, g_pad[:, :, pad:pad + n].reshape(gx.shape), rtol=0, atol=1e-12 * ub.size)
 
 
-def test_conv1d_pull_builds_one_set_of_columns(rng, monkeypatch):
-    # both gradients come from the output gradient's columns; the pull
-    # builds them once for the whole batch, over one tile or more
-    built = []
-    im2col = autodiff._im2col
+IM2COL = autodiff._im2col
+
+
+def conv_columns_built(rng, monkeypatch, shape):
+    """Shapes of the im2col sets that conv1d's forward and pull build."""
+    built = {"forward": [], "pull": []}
+    phase = "forward"
 
     def spy(xb, k):
-        cols = im2col(xb, k)
-        built.append(cols.shape)
+        cols = IM2COL(xb, k)
+        built[phase].append(cols.shape)
         return cols
 
     monkeypatch.setattr(autodiff, "_im2col", spy)
+    x, kernel, bias = conv_draw(rng, shape)
+    u = rng.normal(size=x.shape[:-2] + (kernel.shape[0], x.shape[-1]))
+    tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
+    with Tape() as tape:
+        tape.watch(*tensors)
+        loss = sum_all(mul(conv1d(*tensors), Tensor(u)))
+        phase = "pull"
+        backward(loss, tensors)
+    return built
+
+
+def test_conv1d_pull_builds_one_set_of_columns(rng, monkeypatch):
+    # both gradients come from the output gradient's columns; the pull
+    # builds them once for the whole batch, over one tile or more
     c_in, n, c_out, k = 6, 53, 5, 3
     for b_sz in (32, 64):
-        x, kernel, bias = conv_draw(rng, (b_sz, c_in, n, c_out, k))
-        u = rng.normal(size=(b_sz, c_out, n))
-        tensors = [Tensor(x), Tensor(kernel), Tensor(bias)]
+        built = conv_columns_built(rng, monkeypatch, (b_sz, c_in, n, c_out, k))
+        assert built == {"forward": [(c_in * k, 32 * n)] * (b_sz // 32),  # one per tile
+                         "pull": [(c_out * k, b_sz * n)]}
+
+
+def test_conv1d_builds_columns_from_its_narrower_side(rng, monkeypatch):
+    # 2->32: the forward expands the 2 input channels; the pull expands them
+    # again, once for the whole batch, and never the 32-channel gradient
+    for b_sz in (32, 64):
+        built = conv_columns_built(rng, monkeypatch, (b_sz, 2, 53, 32, 3))
+        assert built == {"forward": [(2 * 3, 32 * 53)] * (b_sz // 32),
+                         "pull": [(2 * 3, b_sz * 53)]}
+    # 32->1: the forward builds no columns; the pull expands the 1-channel
+    # output gradient
+    built = conv_columns_built(rng, monkeypatch, (64, 32, 53, 1, 3))
+    assert built == {"forward": [], "pull": [(1 * 3, 64 * 53)]}
+    # each rule holds with equality: k·C_out == C_in, then k·C_in == C_out
+    built = conv_columns_built(rng, monkeypatch, (4, 6, 5, 2, 3))
+    assert built == {"forward": [], "pull": [(2 * 3, 4 * 5)]}
+    built = conv_columns_built(rng, monkeypatch, (4, 2, 5, 6, 3))
+    assert built == {"forward": [(2 * 3, 4 * 5)], "pull": [(2 * 3, 4 * 5)]}
+
+
+def test_conv1d_wide_path_is_one_column_gemm_bitwise(rng):
+    # 32->32 is on neither narrow side: up to one tile, its output is exactly
+    # one GEMM of the kernel with the input's columns, plus the bias
+    x, kernel, bias = conv_draw(rng, (32, 32, 53, 32, 3))
+    x = channel_major(x)
+    out = conv1d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+    cols = autodiff._im2col(x, 3)
+    expected = kernel.reshape(32, -1) @ cols
+    expected += bias[:, None]
+    assert out.transpose(1, 0, 2).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("c_in, c_out", [(32, 1), (32, 5), (2, 32), (7, 32)])
+def test_narrow_side_convs_are_bitwise_tile_and_layout_independent(rng, c_in, c_out):
+    # the tap-summing paths give every 32-sample tile the bits of a separate
+    # call on it, from either input layout
+    k, n = 3, 53
+    kernel, bias = rng.normal(size=(c_out, c_in, k)), rng.normal(size=c_out)
+
+    def output_and_input_grad(x, u):
+        xt = Tensor(x)
         with Tape() as tape:
-            tape.watch(*tensors)
-            loss = sum_all(mul(conv1d(*tensors), Tensor(u)))
-            assert len(built) == -(-b_sz // 32)  # one per forward tile
-            built.clear()
-            backward(loss, tensors)
-        assert built == [(c_out * k, b_sz * n)]
-        built.clear()
+            tape.watch(xt)
+            out = conv1d(xt, Tensor(kernel), Tensor(bias))
+            g_x = backward(sum_all(mul(out, Tensor(u))), [xt])[xt]
+        return out.data, g_x
+
+    for b_sz in (5, 41, 64):
+        x = rng.normal(size=(b_sz, c_in, n))
+        u = rng.normal(size=(b_sz, c_out, n))
+        whole = output_and_input_grad(channel_major(x), u)
+        c_order = output_and_input_grad(x, u)
+        tiles = [output_and_input_grad(channel_major(x)[lo:lo + 32], u[lo:lo + 32])
+                 for lo in range(0, b_sz, 32)]
+        for i, a in enumerate(whole):
+            assert a.transpose(1, 0, 2).flags.c_contiguous
+            assert np.array_equal(a, c_order[i])
+            assert np.array_equal(a, np.concatenate([t[i] for t in tiles]))
 
 
 def test_im2col_matches_zero_padded_per_tap_oracle_bitwise(rng):

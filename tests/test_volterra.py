@@ -3,10 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from dunets import volterra
 from dunets.autodiff import ShapeError, Tape, Tensor, backward, mul, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
 from dunets.volterra import (SPLITS, VolterraOperator, _measure, _pullback,
-                             _sample_rng, _scatter_windows, data_grad, forward,
+                             _quad_form, _sample_rng, _scatter_windows,
+                             _window_positions, data_grad, forward,
                              gen_dataset, load_dataset, make_operator,
                              sample_tv_prior, save_dataset, vjp)
 
@@ -163,6 +165,64 @@ def test_window_gather_and_scatter_match_per_window_oracles_bitwise(rng, n, k, s
         for i in range(op.m):
             expected[..., i * s:i * s + k] += contrib[..., i, :]
         assert np.array_equal(_scatter_windows(op, contrib, x.shape), expected)
+
+
+def test_scatter_index_is_shared_per_geometry_and_row_count(rng):
+    # every call's sums equal those over a freshly built index, whichever
+    # row counts and operators came before it
+    ops = [make_operator(1.0, seed=4), make_operator(2.0, seed=5),
+           make_operator(1.0, seed=4, n=11, k=5, stride=3)]
+    for op in ops:
+        for rows in (3, 5, 3, 1):
+            contrib = rng.normal(size=(rows, op.m, op.k))
+            fresh = (np.arange(0, rows * op.n, op.n)[:, None] + op._idx.ravel()).ravel()
+            expected = np.bincount(fresh, weights=contrib.ravel(), minlength=rows * op.n)
+            assert (_scatter_windows(op, contrib, (rows, op.n)).tobytes()
+                    == expected.tobytes())
+    # built once per (n, k, stride, rows), shared and read-only
+    index = _window_positions(53, 9, 4, 3)
+    assert index is _window_positions(53, 9, 4, 3)
+    assert not index.flags.writeable and not ops[0]._idx.flags.writeable
+
+
+def einsum_quad(w2, w):
+    """The quadratic form as the einsum it replaced."""
+    return np.einsum("...mi,ij,...mj->...m", w, w2, w)
+
+
+@pytest.mark.parametrize("block", [5, 4096])
+def test_quad_form_matches_einsum_bitwise(rng, monkeypatch, block):
+    # block 5 makes every batch several blocks and a ragged one; at 4096 the
+    # 400-row batch (4800 windows) is one whole block and a ragged one
+    monkeypatch.setattr(volterra, "_QUAD_WINDOWS", block)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    op = make_operator(2.0, seed=5)
+    for lead in ((), (1,), (7,), (400,)):
+        for _ in range(5):
+            w = rng.normal(size=lead + (op.m, op.k)) * 10.0 ** rng.integers(-3, 4)
+            special = w.copy()
+            special.reshape(-1)[::3] = rng.choice(specials, size=special.reshape(-1)[::3].size)
+            signed_zeros = np.where(w < 0, -0.0, w)
+            for windows in (w, special, signed_zeros):
+                with np.errstate(invalid="ignore"):
+                    expected = einsum_quad(op.w2, windows)
+                    got = _quad_form(op.w2, windows)
+                assert got.shape == expected.shape
+                # a NaN's sign bit follows the operand order that numpy's
+                # compiled loops pick, so NaN only has to meet NaN
+                nan = np.isnan(expected)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def test_gen_dataset_bytes_equal_the_einsum_reference(monkeypatch):
+    # a 400-row split measures more windows than one _quad_form block
+    made = gen_dataset(2.0, counts=(400, 9, 7), seed=12, noise_sigma=0.01)
+    monkeypatch.setattr(volterra, "_quad_form", einsum_quad)
+    reference = gen_dataset(2.0, counts=(400, 9, 7), seed=12, noise_sigma=0.01)
+    for name in SPLITS:
+        for got, expected in zip(made.splits[name], reference.splits[name]):
+            assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
