@@ -313,7 +313,7 @@ def _im2col(xb, k):
     return cols.reshape(c * k, bn)
 
 
-# Samples per block in ``_tiled``.  At protocol shapes (C·k = 96,
+# Samples per block in ``_correlate``.  At protocol shapes (C·k = 96,
 # N = 53) a 32-sample block of float64 columns takes 1.3 MB and stays in a
 # 2 MiB L2 cache while its GEMM reads it; a whole B=256 batch takes 10.4 MB.
 _TILE = 32
@@ -373,60 +373,61 @@ def _blockwise(fn, edges):
         lane.result()  # raises the helper's exception, if any
 
 
-def _tiled(rows, b_sz, n, block):
-    """A (rows, B, N) result computed ``_TILE`` samples at a time.
+def _sums_taps(kernel):
+    """Whether ``_correlate`` sums taps rather than building columns, which
+    copy each of the C_in channels k times: when ``k·C_out <= C_in``."""
+    c_out, c_in, k = kernel.shape
+    return k * c_out <= c_in
 
-    ``block(part, lo, hi)`` fills ``part``, the (rows, (hi - lo)·N) column
-    range of samples [lo, hi) in one result allocated up front, so the
-    long-lived result sits below each block's short-lived temporaries.  Up
-    to _TILE samples this is a single block; above it the blocks run on two
-    lanes (``_blockwise``).
+
+def _correlate(xb, kernel, bias=None, cols=None):
+    """The (C_out, B, N) same-padded correlation of a (B, C_in, N) batch with
+    a (C_out, C_in, k) kernel, plus ``bias`` per output channel.
+
+    With ``_sums_taps(kernel)``, the tap-stacked kernel (row ``j·C_out + o``
+    holding output o's tap j) times the input's (C_in, B·N) rows; output
+    position m then sums the tap-j product at m + j - k//2 of the same
+    sample, and nothing past the sample's edge: the centre tap first, then
+    the others in order.  Otherwise the (C_out, C_in·k) kernel matrix times
+    the columns: ``cols(lo, hi)`` gives those of samples [lo, hi), else
+    ``_im2col`` builds them.  The two paths round differently.
+
+    The result is allocated up front, so it sits below each block's
+    short-lived temporaries, and filled ``_TILE`` samples at a time; above
+    one tile the blocks run on two lanes (``_blockwise``).  Each block adds
+    the bias last.
     """
-    out = np.empty((rows, b_sz * n))
-    _blockwise(lambda lo, hi: block(out[:, lo * n:hi * n], lo, hi),
-               [*range(0, b_sz, _TILE), b_sz])
-    return out.reshape(rows, b_sz, n)
+    c_out, c_in, k = kernel.shape
+    b_sz, _, n = xb.shape
+    out = np.empty((c_out, b_sz * n))
+    if _sums_taps(kernel):
+        kstack, h = kernel.transpose(2, 0, 1).reshape(k * c_out, c_in), k // 2
 
+        def product(part, lo, hi):
+            taps = kstack @ xb[lo:hi].transpose(1, 0, 2).reshape(c_in, -1)
+            taps = taps.reshape(k, c_out, hi - lo, n)
+            acc = part.reshape(c_out, hi - lo, n)  # a view of part
+            acc[...] = taps[h]
+            for j in range(k):
+                d = j - h
+                if d and abs(d) < n:  # position m in [m0, m1) reads m + d
+                    m0, m1 = max(0, -d), n - max(0, d)
+                    acc[..., m0:m1] += taps[j, ..., m0 + d:m1 + d]
+    else:
+        kmat = kernel.reshape(c_out, c_in * k)
+        cols = cols or (lambda lo, hi: _im2col(xb[lo:hi], k))
 
-def _correlate(kmat, cols, b_sz, n, bias=None):
-    """``kmat @ cols(lo, hi)`` (plus ``bias`` per row) as a (C_out, B, N) array.
+        def product(part, lo, hi):
+            np.matmul(kmat, cols(lo, hi), out=part)
 
-    ``cols(lo, hi)`` gives the (C·k, (hi - lo)·N) im2col columns of samples
-    [lo, hi) of the b_sz-sample batch; they are taken and multiplied one
-    tile at a time (``_tiled``).
-    """
-    def block(part, lo, hi):
-        np.matmul(kmat, cols(lo, hi), out=part)
+    def block(lo, hi):
+        part = out[:, lo * n:hi * n]
+        product(part, lo, hi)
         if bias is not None:
             part += bias[:, None]
 
-    return _tiled(kmat.shape[0], b_sz, n, block)
-
-
-def _correlate_taps(kstack, k, rows, b_sz, n, bias=None):
-    """``_correlate``'s result, with the taps summed after the GEMM.
-
-    ``kstack`` is (k·C_out, C), row ``j·C_out + o`` holding output o's tap j;
-    ``rows(lo, hi)`` gives samples [lo, hi) as (C, (hi - lo)·N) rows.  Output
-    position m sums, over j, the GEMM's tap-j value at m + j - k//2 of the
-    same sample, and nothing past the sample's edge: the centre tap first,
-    then the others in order, then ``bias``.
-    """
-    c_out, h = len(kstack) // k, k // 2
-
-    def block(part, lo, hi):
-        taps = (kstack @ rows(lo, hi)).reshape(k, c_out, hi - lo, n)
-        acc = part.reshape(c_out, hi - lo, n)  # a view of part
-        acc[...] = taps[h]
-        for j in range(k):
-            d = j - h
-            if d and abs(d) < n:  # position m in [m0, m1) reads m + d in the sample
-                m0, m1 = max(0, -d), n - max(0, d)
-                acc[..., m0:m1] += taps[j, ..., m0 + d:m1 + d]
-        if bias is not None:
-            part += bias[:, None]
-
-    return _tiled(c_out, b_sz, n, block)
+    _blockwise(block, [*range(0, b_sz, _TILE), b_sz])
+    return out.reshape(c_out, b_sz, n)
 
 
 def conv1d(x, kernel, bias):
@@ -435,26 +436,20 @@ def conv1d(x, kernel, bias):
     x: (C_in, N) or (B, C_in, N); kernel: (C_out, C_in, k) with odd k;
     bias: (C_out,).  Output length equals N (zero padding).
 
-    im2col columns copy each channel k times, so each direction builds them
-    on its narrower side, chosen from the kernel's shape alone:
+    One routine, ``_correlate``, serves both directions, each call on its
+    kernel's narrower side (``_sums_taps``): the forward correlates the input
+    with the kernel, and the input gradient is the correlation of the output
+    gradient with the flipped, transposed kernel ``K'[c, o, j] = K[o, c,
+    k-1-j]``.  The pull builds one set of columns for the whole batch and
+    takes the kernel gradient from them in one GEMM: the input's columns when
+    the input gradient sums taps (``g_K`` is the output gradient, seen as
+    (C_out, B·N), times them); else the output gradient's, which the input
+    gradient's column GEMMs reuse (``g_K[o, c, j]`` is entry ``(c, o·k +
+    k-1-j)`` of the input, seen as (C_in, B·N), times them).
 
-    - Forward: one GEMM of the kernel with the input's columns per block of
-      samples (``_correlate``).  When ``k·C_out <= C_in`` (the 32->1 and
-      32->5 output convs), the tap-stacked kernel times the input's rows
-      instead, with the taps then summed (``_correlate_taps``).
-    - Pull: the output gradient's columns, built once for the whole batch.
-      The input gradient is the flipped, transposed kernel times them, block
-      by block; the kernel gradient is one GEMM of the input, seen as
-      (C_in, B·N), with them: ``g_K[o, c, j]`` is entry ``(c, o·k + k-1-j)``
-      of the product.  When ``k·C_in <= C_out`` (the 2/6/7->32 input convs),
-      the input's columns instead: ``g_K`` is one GEMM of the output
-      gradient with them, and the input gradient is the flipped, tap-stacked
-      transposed kernel times the gradient's rows, its taps summed.
-
-    The tap-summing paths round differently from a column GEMM.  The kernel
-    gradient's reduction over samples is never split, and the tape keeps no
-    column buffer.  A batched output, like the input gradient, is the
-    channel-major result seen through a free transpose.
+    The kernel gradient's reduction over samples is never split, and the
+    tape keeps no column buffer.  A batched output, like the input gradient,
+    is the channel-major result seen through a free transpose.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.data.ndim != 3:
@@ -472,32 +467,21 @@ def conv1d(x, kernel, bias):
     xb = x.data if batched else x.data[None]
     kdata = kernel.data
     b_sz, _, n = xb.shape
-    if k * c_out <= c_in:
-        kstack = kdata.transpose(2, 0, 1).reshape(k * c_out, c_in)
-        out = _correlate_taps(
-            kstack, k, lambda lo, hi: xb[lo:hi].transpose(1, 0, 2).reshape(c_in, -1),
-            b_sz, n, bias.data)
-    else:
-        out = _correlate(kdata.reshape(c_out, c_in * k),
-                         lambda lo, hi: _im2col(xb[lo:hi], k), b_sz, n, bias.data)
-    out = out.transpose(1, 0, 2)
+    out = _correlate(xb, kdata, bias.data).transpose(1, 0, 2)
 
     def pull(g):
         gb = g if batched else g[None]
         g_t = gb.transpose(1, 0, 2).reshape(c_out, b_sz * n)
-        if k * c_in <= c_out:
-            xcols = _im2col(xb, k)
-            g_kernel = (g_t @ xcols.T).reshape(c_out, c_in, k)
-            kflip = kdata[:, :, ::-1].transpose(2, 1, 0).reshape(k * c_in, c_out)
-            g_x = _correlate_taps(kflip, k, lambda lo, hi: g_t[:, lo * n:hi * n],
-                                  b_sz, n)
+        kflip = kdata[:, :, ::-1].transpose(1, 0, 2)
+        if _sums_taps(kflip):
+            g_kernel = (g_t @ _im2col(xb, k).T).reshape(c_out, c_in, k)
+            g_x = _correlate(gb, kflip)
         else:
             gcols = _im2col(gb, k)
             x_t = xb.transpose(1, 0, 2).reshape(c_in, b_sz * n)
             g_kernel = np.ascontiguousarray(
                 (x_t @ gcols.T).reshape(c_in, c_out, k)[:, :, ::-1].transpose(1, 0, 2))
-            kflip = kdata[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-            g_x = _correlate(kflip, lambda lo, hi: gcols[:, lo * n:hi * n], b_sz, n)
+            g_x = _correlate(gb, kflip, cols=lambda lo, hi: gcols[:, lo * n:hi * n])
         g_x = g_x.transpose(1, 0, 2)
         return (g_x if batched else g_x[0]), g_kernel, g_t.sum(axis=1)
 

@@ -140,6 +140,11 @@ class RunConfig:
     train: TrainConfig
     train_fraction: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction <= 1.0:  # NaN fails too
+            raise ValueError(
+                f"train fraction must lie in (0, 1], got {self.train_fraction}")
+
     def train_split(self, dataset):
         """The (x, y) pairs this run trains on: all of them or a subset."""
         if self.train_fraction < 1.0:
@@ -325,6 +330,9 @@ def _sweep_cells(args):
                     add("lpd", momentum, seed, args.a, unroll=unroll)
     else:
         raise UsageError(f"unknown sweep kind {args.kind!r}")
+    if not cells:
+        raise UsageError(f"sweep --kind {args.kind} --grid {args.grid!r} "
+                         f"--seeds {args.seeds!r} expands to no cells")
     return cells
 
 
@@ -338,12 +346,12 @@ def _run_cell(payload):
 
 
 def cmd_sweep(args):
+    cells = _sweep_cells(args)
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
     rows = _read_rows(results_path)
     done = {row["fingerprint"] for row in rows}
 
-    cells = _sweep_cells(args)
     payloads = []
     dataset_cache = {}
     for run, gen_kwargs in cells:

@@ -48,14 +48,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch size must be positive")
-        if self.lr0 <= 0:
-            raise ValueError("initial learning rate must be positive")
-        if self.clip_norm <= 0:
+        # written so that NaN fails each test
+        if not 0.0 < self.lr0 < np.inf:
+            raise ValueError("initial learning rate must be positive and finite")
+        if not self.clip_norm > 0:  # inf: no clipping
             raise ValueError("gradient clip norm must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("Adam betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("Adam eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("Adam eps must be positive and finite")
 
 
 @dataclass

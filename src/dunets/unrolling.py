@@ -74,6 +74,9 @@ class ModelConfig:
         if any(getattr(self, f) < 1 for f in sizes) or self.kernel % 2 == 0:
             raise ValueError("sizes must be positive and the kernel odd, got "
                              + ", ".join(f"{f}={getattr(self, f)}" for f in sizes))
+        if not (np.isfinite(self.gamma) and np.isfinite(self.eta)):
+            raise ValueError(f"gamma and eta must be finite, got gamma={self.gamma}, "
+                             f"eta={self.eta}")
         if self.variant == "lpd" and self.n_primal < 2:
             raise ValueError("lpd needs at least two primal channels")
         object.__setattr__(self, "seed", int(self.seed))

@@ -222,6 +222,31 @@ def test_conv1d_adjoint_identity(rng):
         assert np.allclose(gx, g_pad[:, :, pad:pad + n].reshape(gx.shape), rtol=0, atol=1e-12 * ub.size)
 
 
+def test_conv1d_input_gradient_is_the_flipped_transposed_correlation(rng):
+    # the pull's x gradient is conv1d of the output gradient with the kernel
+    # flipped in its taps and transposed in its channels, bit for bit;
+    # array_equal, not bytes, as the zero bias may turn a -0.0 into +0.0.
+    # One exception: with C_in = 1 and column GEMMs (C_out < k), each block
+    # is a one-row product, which numpy hands to BLAS gemv, and gemv may round
+    # a tile sliced from the pull's whole-batch columns differently from the
+    # forward's own copy of it (seen on a ragged tile of <= 3 columns)
+    for _, c_in, n, c_out, k in CONV_SHAPES:
+        for b_sz in (1, 33):
+            x, kernel, bias = conv_draw(rng, (b_sz, c_in, n, c_out, k))
+            g = rng.normal(size=(b_sz, c_out, n))
+            xt = Tensor(x)
+            with Tape() as tape:
+                tape.watch(xt)
+                out = conv1d(xt, Tensor(kernel), Tensor(bias))
+                g_x = backward(sum_all(mul(out, Tensor(g))), [xt])[xt]
+            flipped = kernel[:, :, ::-1].transpose(1, 0, 2)
+            expected = conv1d(Tensor(g), Tensor(flipped), Tensor(np.zeros(c_in)))
+            if c_in == 1 and c_out < k and b_sz > 32:
+                assert np.allclose(g_x, expected.data, rtol=1e-13, atol=1e-13)
+            else:
+                assert np.array_equal(g_x, expected.data), (b_sz, c_in, n, c_out, k)
+
+
 IM2COL = autodiff._im2col
 
 

@@ -231,6 +231,17 @@ def test_train_rejects_a_zero_model_size(tmp_path, data_dir, capsys, flag):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("fraction", ["1.5", "nan", "0"])
+def test_train_rejects_a_fraction_outside_the_unit_interval(tmp_path, data_dir,
+                                                            capsys, fraction):
+    # 1.5 and nan trained the whole split under a fingerprint of their own
+    out, results = str(tmp_path / "runs"), str(tmp_path / "results.csv")
+    assert run("train", "--model", "lpd", *FAST, "--train-fraction", fraction,
+               "--data", data_dir, "--out", out, "--results", results) == 2
+    assert "train fraction must lie in (0, 1]" in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(results)
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -455,6 +466,28 @@ def test_sweep_unroll_grid(tmp_path):
                *SWEEP_FAST, "--out", out) == 0
     rows = read_rows(os.path.join(out, "results.csv"))
     assert {r["T"] for r in rows} == {"1", "2"}
+
+
+def test_sweep_datasize_rejects_a_fraction_over_one(tmp_path, capsys):
+    out = str(tmp_path / "sweep")
+    assert run("sweep", "--kind", "datasize", "--grid", "150", "--models", "lpd",
+               "--momenta", "none", "--seeds", "0", *SWEEP_FAST, "--out", out) == 2
+    assert "train fraction must lie in (0, 1]" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "rma-structure", "--grid", "1,2"],  # no ';': no hidden sizes
+    ["--kind", "a", "--grid", "1", "--seeds", ""],
+    ["--kind", "unroll", "--grid", ","],
+])
+def test_sweep_that_expands_to_no_cells_is_a_usage_error(tmp_path, capsys, argv):
+    out = str(tmp_path / "sweep")
+    assert run("sweep", *argv, *SWEEP_FAST, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "expands to no cells" in err
+    assert f"--kind {argv[1]}" in err and f"--grid {argv[3]!r}" in err
+    assert not os.path.exists(out)
 
 
 def test_sweep_default_grids_expand_to_expected_cells():

@@ -302,6 +302,9 @@ def test_train_config_validation():
     {"clip_norm": -1.0},  # clipping would flip every gradient: Adam climbs
     {"beta1": -0.1}, {"beta1": 1.0}, {"beta2": -0.1}, {"beta2": 1.0},
     {"eps": 0.0}, {"eps": -1e-8},
+    # NaN fails every comparison, so each check must be written to reject it
+    {"lr0": np.nan}, {"lr0": np.inf}, {"clip_norm": np.nan},
+    {"eps": np.nan}, {"eps": np.inf},
 ])
 def test_train_config_rejects_bad_clip_and_adam_settings(bad):
     with pytest.raises(ValueError):

@@ -118,6 +118,13 @@ def test_config_rejects_non_positive_sizes_and_an_even_kernel(field, value):
         ModelConfig("lpgd", "rma", **{field: value})
 
 
+@pytest.mark.parametrize("field", ["gamma", "eta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_momentum_setting(field, value):
+    with pytest.raises(ValueError, match=f"{field}={value}"):
+        ModelConfig("lpd", "ma", **{field: value})
+
+
 def test_same_seed_builds_identical_models(tiny_op):
     a = mini_model("lpd", "rma", tiny_op, seed=3)
     b = mini_model("lpd", "rma", tiny_op, seed=3)
