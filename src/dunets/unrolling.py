@@ -6,6 +6,16 @@ primal-dual scheme with stacked states (lpd) -- each combinable with a
 momentum mode: none, an explicit velocity recursion (ma), or a learned
 LSTM velocity (rma).
 
+Every pair runs one iteration body (``UnrollModel.reconstruct``): a
+gradient g, the momentum module's direction d from it, the features
+[x, d] (mixed by a fusion conv under rma), the primal net, and a residual
+add to x.  The schemes differ in three places only: the gradient (lpgd
+and lpgdsw take the data-consistency gradient J(x)'(F(x) - y); lpd first
+updates its dual state u from [u, F(x2), y], then takes J(x1)'u1 over the
+first primal and dual channels), the iterate's channel view (lpgd
+reshapes x to one channel and the step back; lpd's x has n_primal
+channels), and the output (lpd returns its first primal channel).
+
 All update blocks are residually wired, and every block that writes to
 the iterate has a zero-initialized output layer, so a freshly built model
 reproduces its zero initialization exactly; training bends the iterates
@@ -115,25 +125,30 @@ class MomentumMA:
 # ---------------------------------------------------------------------------
 # model
 
-def _as_channel(vec, batch, n):
-    """(B, n) vector -> (B, 1, n) feature map."""
-    return reshape(vec, (batch, 1, n))
-
-
 def fuse_direction(fusion, x_channels, direction):
-    """Concatenate features with a direction channel and mix with one conv."""
+    """Stack the features with a direction channel; mix them with ``fusion`` if any."""
     batch, _, n = x_channels.data.shape
-    stacked = concat_channels([x_channels, _as_channel(direction, batch, n)])
-    return fusion(stacked)
+    stacked = concat_channels([x_channels, reshape(direction, (batch, 1, n))])
+    return stacked if fusion is None else fusion(stacked)
 
 
 @dataclass
 class ReconstructionTrace:
-    """Per-iteration snapshots for diagnostics; x has T+1 entries."""
+    """Per-iteration snapshots for diagnostics.
+
+    ``x`` and ``u`` (lpd's dual state; empty otherwise) hold the start and
+    every iterate, T+1 entries; ``direction`` holds the T update directions.
+    """
 
     x: list = field(default_factory=list)
     u: list = field(default_factory=list)
     direction: list = field(default_factory=list)
+
+    def snap(self, x, u, direction=None):
+        """Append copies of the tensors given; None is skipped."""
+        for seq, tensor in ((self.x, x), (self.u, u), (self.direction, direction)):
+            if tensor is not None:
+                seq.append(tensor.data.copy())
 
 
 class UnrollModel:
@@ -163,31 +178,20 @@ class UnrollModel:
         """Initialize a model; ``kwargs`` are the other ModelConfig fields."""
         config = ModelConfig(variant, momentum, unroll, **kwargs)
         unroll, width, kernel = config.unroll, config.width, config.kernel
-        n_primal, n_dual = config.n_primal, config.n_dual
+        n_dual = config.n_dual
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5e]))
-        shared = variant == "lpgdsw"
-        blocks = 1 if shared else unroll
         fused = momentum == "rma"
+        lpd = variant == "lpd"
+        channels = config.n_primal if lpd else 1   # the iterate's feature channels
 
-        if variant == "lpd":
-            primal_in = width if fused else n_primal + 1
-            primal_out = n_primal
-            dual_in = n_dual + 2
-        else:
-            primal_in = width if fused else 2
-            primal_out = 1
-            dual_in = None
-
-        fusions = []
-        primal_nets = []
-        dual_nets = []
-        for _ in range(blocks):
+        fusions, primal_nets, dual_nets = [], [], []
+        for _ in range(1 if variant == "lpgdsw" else unroll):
             if fused:
-                raw_in = (n_primal if variant == "lpd" else 1) + 1
-                fusions.append(Conv1dLayer.create(rng, raw_in, width, k=kernel))
+                fusions.append(Conv1dLayer.create(rng, channels + 1, width, k=kernel))
             primal_nets.append(ConvStack.create(
-                rng, (primal_in, width, width, primal_out), k=kernel))
-            if variant == "lpd":
+                rng, (width if fused else channels + 1, width, width, channels),
+                k=kernel))
+            if lpd:
                 # The dual stack keeps a live output layer: with it zeroed the
                 # dual state stays at zero, the primal direction J(x0)'u
                 # vanishes, and (mean-centered signals) every gradient at the
@@ -202,7 +206,7 @@ class UnrollModel:
                 # shallow models untouched and pins the deep ones at the same
                 # ~O(100) initial magnitude guardrail.
                 dual_nets.append(ConvStack.create(
-                    rng, (dual_in, width, n_dual), k=kernel, zero_last=False,
+                    rng, (n_dual + 2, width, n_dual), k=kernel, zero_last=False,
                     out_scale=min(1.0, 12.0 / max(unroll, 1))))
 
         if momentum == "none":
@@ -246,74 +250,51 @@ class UnrollModel:
         ``y`` may be one observation (m,) or a batch (B, m); the result
         matches.  Momentum state is created fresh per call.
         """
+        op, config = self.operator, self.config
         y_t = as_tensor(y)
+        if y_t.data.ndim not in (1, 2) or y_t.data.shape[-1] != op.m:
+            raise ValueError(f"expected one observation (m,) or a batch (B, m) with "
+                             f"m={op.m}, got observation shape {y_t.data.shape}")
         squeeze = y_t.data.ndim == 1
         if squeeze:
-            y_t = reshape(y_t, (1, y_t.data.shape[0]))
-        if y_t.data.shape[-1] != self.operator.m:
-            raise ValueError(
-                f"observation length {y_t.data.shape[-1]} != operator m={self.operator.m}")
+            y_t = reshape(y_t, (1, op.m))
+        batch = y_t.data.shape[0]
+        lpd = self.variant == "lpd"
 
-        rec = ReconstructionTrace() if trace else None
-        if self.variant == "lpd":
-            x = self._run_primal_dual(y_t, rec)
+        # lpd iterates on stacked primal and dual states; lpgd on x alone.
+        if lpd:
+            x = Tensor(np.zeros((batch, config.n_primal, op.n)))
+            u = Tensor(np.zeros((batch, config.n_dual, op.m)))
+            y_ch = reshape(y_t, (batch, 1, op.m))
         else:
-            x = self._run_proximal_gradient(y_t, rec)
-        if squeeze:
-            x = reshape(x, (self.operator.n,))
-        return (x, rec) if trace else x
-
-    def _snap(self, rec, attr, tensor):
+            x, u = Tensor(np.zeros((batch, op.n))), None
+        rec = ReconstructionTrace() if trace else None
         if rec is not None:
-            getattr(rec, attr).append(tensor.data.copy())
-
-    def _run_proximal_gradient(self, y_t, rec):
-        op = self.operator
-        batch = y_t.data.shape[0]
-        x = Tensor(np.zeros((batch, op.n)))
+            rec.snap(x, u)
         mom_state = None
-        self._snap(rec, "x", x)
-        for t in range(self.config.unroll):
-            g = data_grad(op, x, y_t)
-            d, mom_state = self.momentum_module.step(mom_state, g)
-            self._snap(rec, "direction", d)
-            x_ch = _as_channel(x, batch, op.n)
-            if self.fusions:
-                feats = fuse_direction(self._block(self.fusions, t), x_ch, d)
+        for t in range(config.unroll):
+            if lpd:
+                # dual update, then J(x1)' u1 from the first primal and dual channels
+                x2 = reshape(slice_channels(x, 1, 2), (batch, op.n))
+                fx2 = reshape(forward(op, x2), (batch, 1, op.m))
+                dual_in = concat_channels([u, fx2, y_ch])
+                u = add(u, self._block(self.dual_nets, t)(dual_in))
+                g = vjp(op, reshape(slice_channels(x, 0, 1), (batch, op.n)),
+                        reshape(slice_channels(u, 0, 1), (batch, op.m)))
             else:
-                feats = concat_channels([x_ch, _as_channel(d, batch, op.n)])
-            step = self._block(self.primal_nets, t)(feats)
-            x = add(x, reshape(step, (batch, op.n)))
-            self._snap(rec, "x", x)
-        return x
-
-    def _run_primal_dual(self, y_t, rec):
-        op = self.operator
-        batch = y_t.data.shape[0]
-        x = Tensor(np.zeros((batch, self.config.n_primal, op.n)))
-        u = Tensor(np.zeros((batch, self.config.n_dual, op.m)))
-        mom_state = None
-        self._snap(rec, "x", x)
-        self._snap(rec, "u", u)
-        y_ch = _as_channel(y_t, batch, op.m)
-        for t in range(self.config.unroll):
-            x2 = reshape(slice_channels(x, 1, 2), (batch, op.n))
-            fx2 = forward(op, x2)
-            dual_in = concat_channels([u, _as_channel(fx2, batch, op.m), y_ch])
-            u = add(u, self._block(self.dual_nets, t)(dual_in))
-            x1 = reshape(slice_channels(x, 0, 1), (batch, op.n))
-            u1 = reshape(slice_channels(u, 0, 1), (batch, op.m))
-            g = vjp(op, x1, u1)
+                g = data_grad(op, x, y_t)
             d, mom_state = self.momentum_module.step(mom_state, g)
-            self._snap(rec, "direction", d)
-            if self.fusions:
-                feats = fuse_direction(self._block(self.fusions, t), x, d)
-            else:
-                feats = concat_channels([x, _as_channel(d, batch, op.n)])
-            x = add(x, self._block(self.primal_nets, t)(feats))
-            self._snap(rec, "x", x)
-            self._snap(rec, "u", u)
-        return reshape(slice_channels(x, 0, 1), (batch, op.n))
+            x_ch = x if lpd else reshape(x, (batch, 1, op.n))
+            fusion = self._block(self.fusions, t) if self.fusions else None
+            step = self._block(self.primal_nets, t)(fuse_direction(fusion, x_ch, d))
+            x = add(x, step if lpd else reshape(step, (batch, op.n)))
+            if rec is not None:
+                rec.snap(x, u, d)
+        if lpd:
+            x = reshape(slice_channels(x, 0, 1), (batch, op.n))
+        if squeeze:
+            x = reshape(x, (op.n,))
+        return (x, rec) if trace else x
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +320,18 @@ def load_model(path):
     arrays, meta = load_params(path)
     if meta.get("kind") != "unroll-model":
         raise ValueError(f"{path}: not a model checkpoint")
-    om = meta["op"]
+    try:
+        om = meta["op"]
+        geometry = {key: om[key] for key in ("a", "b", "stride", "n", "seed")}
+        fingerprint = om["fingerprint"]
+        config = {f.name: meta[f.name] for f in fields(ModelConfig)}
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest lacks key {exc.args[0]!r}") from None
     op = VolterraOperator(w1=arrays.pop("operator.w1"),
-                          w2=arrays.pop("operator.w2"),
-                          a=om["a"], b=om["b"], stride=om["stride"],
-                          n=om["n"], seed=om["seed"])
-    if op.fingerprint() != om["fingerprint"]:
+                          w2=arrays.pop("operator.w2"), **geometry)
+    if op.fingerprint() != fingerprint:
         raise ValueError(f"{path}: operator fingerprint mismatch")
-    model = UnrollModel.build(
-        operator=op, **{f.name: meta[f.name] for f in fields(ModelConfig)})
+    model = UnrollModel.build(operator=op, **config)
     expected = dict(model.named_params())
     if set(expected) != set(arrays):
         raise ValueError(f"{path}: checkpoint names do not match architecture")

@@ -46,9 +46,7 @@ class VolterraOperator:
             raise ValueError(f"second-order kernel must be ({k},{k}), got {self.w2.shape}")
         if np.any(np.tril(self.w2, -1) != 0.0):
             raise ValueError("second-order kernel must be upper-triangular")
-        if (self.n - k) % self.stride != 0:
-            raise ValueError(
-                f"window size {k} and stride {self.stride} do not tile length {self.n}")
+        _check_geometry(self.n, k, self.stride)
         self._w2sym = self.w2 + self.w2.T
         self._idx = _window_positions(self.n, k, self.stride, 1).reshape(self.m, k)
 
@@ -77,6 +75,15 @@ class VolterraOperator:
         return np.take(x, self._idx, axis=-1)
 
 
+def _check_geometry(n, k, stride):
+    """Raise unless windows of size k at a positive stride tile a length-n signal."""
+    if stride < 1 or not 1 <= k <= n:
+        raise ValueError(f"need stride >= 1 and 1 <= window size k <= signal length n, "
+                         f"got n={n}, k={k}, stride={stride}")
+    if (n - k) % stride != 0:
+        raise ValueError(f"window size {k} and stride {stride} do not tile length {n}")
+
+
 @functools.lru_cache(maxsize=8)
 def _window_positions(n, k, stride, rows):
     """The flat signal position of every (row, window, tap) of ``rows`` signals.
@@ -96,6 +103,7 @@ def make_operator(a, seed, n=53, k=9, stride=4):
     """Seeded operator: w1 ~ N(0, 1/k), upper-triangular W2 ~ N(0, 1/k^2)."""
     if a < 0:
         raise ValueError("nonlinearity coefficient must be non-negative")
+    _check_geometry(n, k, stride)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x0b]))
     w1 = rng.normal(0.0, 1.0 / np.sqrt(k), size=k)
     w2 = np.triu(rng.normal(0.0, 1.0 / k, size=(k, k)))
@@ -334,13 +342,19 @@ def save_dataset(ds, out_dir, force=False):
 
 def load_dataset(in_dir):
     """Reload a dataset directory, verifying the operator fingerprint."""
+    path = os.path.join(in_dir, "manifest.txt")
     manifest = {}
-    with open(os.path.join(in_dir, "manifest.txt")) as fh:
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
                 key, _, value = line.partition("=")
                 manifest[key] = value
+    missing = [key for key in ("n", "m", "k", "s", "a", "op_seed", "op_fingerprint",
+                               "counts", "data_seed", "tv_scale", "noise_sigma")
+               if key not in manifest]
+    if missing:
+        raise ValueError(f"{path}: manifest lacks key {missing[0]!r}")
     n, m = int(manifest["n"]), int(manifest["m"])
     op = make_operator(float(manifest["a"]), seed=int(manifest["op_seed"]),
                        n=n, k=int(manifest["k"]), stride=int(manifest["s"]))

@@ -69,6 +69,17 @@ def test_gen_data_rejects_a_negative_noise_level(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("geometry", [["--stride", "-4"], ["--stride", "0"],
+                                      ["--k", "0"],
+                                      ["--n", "5", "--k", "9", "--stride", "1"]])
+def test_gen_data_rejects_a_geometry_it_cannot_measure(tmp_path, capsys, geometry):
+    out = str(tmp_path / "d")
+    assert run("gen-data", "--a", "1", "--counts", "4,2,2", *geometry,
+               "--out", out) == 2
+    assert "stride >= 1 and 1 <= window size k" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
 def test_gen_data_rejects_a_bad_tv_scale(tmp_path, capsys, scale):
     out = str(tmp_path / "d")
@@ -346,6 +357,38 @@ def test_eval_of_a_non_finite_model_fails_before_writing(tmp_path, data_dir,
     assert "non-finite test mse" in captured.err
     assert "mse nan" not in captured.out
     assert not os.path.exists(results)
+
+
+@pytest.mark.parametrize("key", ["lstm_layers", "op"])
+def test_eval_of_a_checkpoint_without_a_manifest_key_fails(tmp_path, data_dir,
+                                                         capsys, key):
+    from dunets.layers import load_params, save_params
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    arrays, meta = load_params(os.path.join(out, run_dir, "checkpoint.bin"))
+    del meta[key]
+    bad = str(tmp_path / "bad.bin")
+    save_params(bad, list(arrays.items()), meta=meta)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", bad, "--data", data_dir) == 2
+    assert f"{bad}: manifest lacks key '{key}'" in capsys.readouterr().err
+
+
+def test_eval_on_a_dataset_without_a_manifest_key_fails(tmp_path, data_dir,
+                                                        capsys):
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    manifest = os.path.join(data_dir, "manifest.txt")
+    with open(manifest) as fh:
+        lines = [line for line in fh if not line.startswith("noise_sigma=")]
+    with open(manifest, "w") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", os.path.join(out, run_dir, "checkpoint.bin"),
+               "--data", data_dir) == 2
+    assert f"{manifest}: manifest lacks key 'noise_sigma'" in capsys.readouterr().err
 
 
 def nan_test_split(monkeypatch):

@@ -1,6 +1,8 @@
 import inspect
+import re
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -200,6 +202,56 @@ def test_trace_length_covers_every_iterate(tiny_op, rng):
     _, trace = model.reconstruct(rng.normal(size=tiny_op.m), trace=True)
     assert len(trace.x) == 5
     assert len(trace.direction) == 4
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shape", [(), (2, 2, 3)])
+def test_malformed_observation_is_one_error_for_every_scheme(variant, shape, tiny_op):
+    model = mini_model(variant, "none", tiny_op)
+    with pytest.raises(ValueError, match=re.escape(f"observation shape {shape}")):
+        model.reconstruct(np.zeros(shape))
+
+
+# Per (variant, momentum) pair, the records of one T=2 forward pass: the tape
+# length and the op kinds (a pull's qualname prefix).  At t=0 the iterate is
+# the untracked zero start, so lpgd's data_grad records nothing there; lpd's
+# dual update records its forward pass from t=0 on (its u is live).
+GRAPHS = {
+    ("lpgd", "none"): (20, {"add": 2, "concat_channels": 1, "conv1d": 6,
+                            "forward": 1, "prelu": 4, "reshape": 4, "sub": 1,
+                            "vjp": 1}),
+    ("lpgd", "ma"): (22, {"add": 2, "concat_channels": 1, "conv1d": 6,
+                          "forward": 1, "prelu": 4, "reshape": 4, "scale": 1,
+                          "sub": 2, "vjp": 1}),
+    ("lpgd", "rma"): (78, {"add": 22, "concat_channels": 2, "conv1d": 8,
+                           "forward": 1, "matvec": 18, "mul": 6, "prelu": 4,
+                           "reshape": 5, "sigmoid": 6, "sub": 1, "tanh": 4,
+                           "vjp": 1}),
+    ("lpd", "none"): (39, {"add": 4, "concat_channels": 3, "conv1d": 10,
+                           "forward": 1, "prelu": 6, "reshape": 8,
+                           "slice_channels": 5, "vjp": 2}),
+    ("lpd", "ma"): (44, {"add": 4, "concat_channels": 3, "conv1d": 10,
+                         "forward": 1, "prelu": 6, "reshape": 8, "scale": 3,
+                         "slice_channels": 5, "sub": 2, "vjp": 2}),
+    ("lpd", "rma"): (95, {"add": 24, "concat_channels": 3, "conv1d": 12,
+                          "forward": 1, "matvec": 18, "mul": 6, "prelu": 6,
+                          "reshape": 8, "sigmoid": 6, "slice_channels": 5,
+                          "tanh": 4, "vjp": 2}),
+}
+for _momentum in MOMENTA:  # one shared block records what per-iteration ones do
+    GRAPHS["lpgdsw", _momentum] = GRAPHS["lpgd", _momentum]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("momentum", MOMENTA)
+def test_forward_graph_of_every_pair(variant, momentum, tiny_op, rng):
+    model = mini_model(variant, momentum, tiny_op)
+    with Tape() as tape:
+        tape.watch(*model.param_list())
+        model.reconstruct(rng.normal(size=(3, tiny_op.m)))
+        kinds = Counter(pull.__qualname__.split(".")[0]
+                        for _, _, pull in tape._records)
+        assert (len(tape), dict(kinds)) == GRAPHS[variant, momentum]
 
 
 def test_batch_and_single_reconstructions_agree(tiny_op, rng):

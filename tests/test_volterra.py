@@ -69,6 +69,16 @@ def test_operator_rejects_bad_geometry():
         make_operator(-1.0, seed=0)
 
 
+@pytest.mark.parametrize("n, k, stride", [(53, 9, 0), (53, 9, -4), (53, 0, 4),
+                                          (5, 9, 1)])
+def test_operator_rejects_a_geometry_it_cannot_measure(n, k, stride):
+    with pytest.raises(ValueError, match="stride >= 1 and 1 <= window size k"):
+        make_operator(1.0, seed=0, n=n, k=k, stride=stride)
+    with pytest.raises(ValueError, match="stride >= 1 and 1 <= window size k"):
+        VolterraOperator(w1=np.zeros(k), w2=np.zeros((k, k)), a=1.0, b=0.0,
+                         stride=stride, n=n)
+
+
 # ---------------------------------------------------------------------------
 # forward map
 
