@@ -327,8 +327,11 @@ def load_model(path):
         config = {f.name: meta[f.name] for f in fields(ModelConfig)}
     except KeyError as exc:
         raise ValueError(f"{path}: manifest lacks key {exc.args[0]!r}") from None
-    op = VolterraOperator(w1=arrays.pop("operator.w1"),
-                          w2=arrays.pop("operator.w2"), **geometry)
+    try:
+        w1, w2 = arrays.pop("operator.w1"), arrays.pop("operator.w2")
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks array {exc.args[0]!r}") from None
+    op = VolterraOperator(w1=w1, w2=w2, **geometry)
     if op.fingerprint() != fingerprint:
         raise ValueError(f"{path}: operator fingerprint mismatch")
     model = UnrollModel.build(operator=op, **config)

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .atomic import atomic_write
 from .autodiff import ShapeError, Tensor, as_tensor, record_op, sub
@@ -235,8 +236,9 @@ def data_grad(op, x, y_obs):
 def _tv_walks(n, scale, count, rngs):
     """``count`` mean-centered Laplace random walks of length n, as rows.
 
-    Row i starts at 0 and takes n-1 steps drawn from the i-th generator that
-    ``rngs`` yields; the cumsum and the centring run once over all rows.
+    Row i starts at 0 and takes n-1 Laplace steps drawn from the i-th
+    generator that ``rngs`` yields (in a dataset, sample i's own stream from
+    ``_sample_rngs``); the cumsum and the centring run once over all rows.
     """
     if n < 2:
         raise ValueError("need at least two grid points")
@@ -287,16 +289,97 @@ class PairedDataset:
         }
 
 
-def _sample_rng(seed, split_index, sample_index, purpose):
-    # Per-sample streams keyed by position, so generation order or worker
-    # fan-out cannot change the dataset.
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed), split_index, sample_index, purpose]))
+# numpy's SeedSequence hash constants (fixed by NEP 19), for a pool of four
+# 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(init, mult):
+    """numpy's SeedSequence word hash, on uint32 arrays.
+
+    Each call xors in the running hash constant, steps it (a Python int
+    masked to 32 bits) and multiplies by it; uint32 arrays wrap silently
+    where a uint32 scalar would warn.
+    """
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _stream_words(seed, split_index, count, purpose):
+    """Row i: ``SeedSequence([seed, split_index, i, purpose])``'s PCG64 seed.
+
+    That is its ``generate_state(4, np.uint64)``, for every i < count at
+    once: numpy's entropy mixing into a pool of four words, then its output
+    hash, each step one numpy call over all samples.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    # entropy words: the seed's 32-bit words, least significant first, as
+    # numpy splits an int, then split_index, i and purpose, one word each
+    seed_words = [seed >> shift & _MASK32
+                  for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words + [split_index]]
+    entropy += [np.arange(count, dtype=np.uint32),
+                np.full(count, purpose, dtype=np.uint32)]
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return result ^ (result >> np.uint32(16))
+
+    # there are at least four entropy words, so they fill the pool; any
+    # more (a seed of 2**32 or over) mix into every pool word in turn
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = _hashmix(_INIT_B, _MULT_B)
+    state = np.stack([out(pool[dst % 4]) for dst in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed(ISeedSequence):
+    """Seed material whose ``generate_state`` returns PCG64's precomputed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _sample_rngs(seed, split_index, count, purpose):
+    """Generator i < count draws as ``default_rng(SeedSequence([seed,
+    split_index, i, purpose]))``, seeded from ``_stream_words``' row i."""
+    for words in _stream_words(seed, split_index, count, purpose):
+        yield np.random.Generator(np.random.PCG64(_StreamSeed(words)))
 
 
 def gen_dataset(a, counts=(10000, 1000, 1000), seed=0, n=53, k=9, stride=4,
                 tv_scale=0.1, noise_sigma=0.0):
-    """Draw signals from the TV prior and record their measurements."""
+    """Draw signals from the TV prior and record their measurements.
+
+    Sample i of split si draws its walk from the stream
+    ``default_rng(SeedSequence([seed, si, i, 1]))`` and, when noise_sigma > 0,
+    its observation noise from ``[seed, si, i, 2]``.  Streams are keyed by
+    position, so a split's first rows do not depend on its size; a split's
+    stream seeds are computed together (``_sample_rngs``).
+    """
     if len(counts) != 3 or any(c <= 0 for c in counts):
         raise ValueError("counts must be three positive split sizes")
     if not 0.0 <= noise_sigma < np.inf:
@@ -305,12 +388,11 @@ def gen_dataset(a, counts=(10000, 1000, 1000), seed=0, n=53, k=9, stride=4,
     op = make_operator(a, seed=seed, n=n, k=k, stride=stride)
     splits = {}
     for si, (name, count) in enumerate(zip(SPLITS, counts)):
-        x = _tv_walks(n, tv_scale, count,
-                      (_sample_rng(seed, si, i, 1) for i in range(count)))
+        x = _tv_walks(n, tv_scale, count, _sample_rngs(seed, si, count, 1))
         y = _measure(op, x)
         if noise_sigma > 0.0:
-            for i in range(count):
-                y[i] += _sample_rng(seed, si, i, 2).normal(0.0, noise_sigma, size=op.m)
+            for row, rng in zip(y, _sample_rngs(seed, si, count, 2)):
+                row += rng.normal(0.0, noise_sigma, size=op.m)
         splits[name] = (x, y)
     return PairedDataset(operator=op, splits=splits, seed=int(seed),
                          tv_scale=tv_scale, noise_sigma=noise_sigma)

@@ -375,6 +375,22 @@ def test_eval_of_a_checkpoint_without_a_manifest_key_fails(tmp_path, data_dir,
     assert f"{bad}: manifest lacks key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["operator.w1", "operator.w2"])
+def test_eval_of_a_checkpoint_without_an_operator_array_fails(tmp_path, data_dir,
+                                                              capsys, name):
+    from dunets.layers import load_params, save_params
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    arrays, meta = load_params(os.path.join(out, run_dir, "checkpoint.bin"))
+    del arrays[name]
+    bad = str(tmp_path / "bad.bin")
+    save_params(bad, list(arrays.items()), meta=meta)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", bad, "--data", data_dir) == 2
+    assert f"{bad}: checkpoint lacks array '{name}'" in capsys.readouterr().err
+
+
 def test_eval_on_a_dataset_without_a_manifest_key_fails(tmp_path, data_dir,
                                                         capsys):
     out = str(tmp_path / "runs")

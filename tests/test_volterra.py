@@ -1,4 +1,6 @@
+import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from dunets import volterra
 from dunets.autodiff import ShapeError, Tape, Tensor, backward, mul, sum_all
 from dunets.gradcheck import fd_gradient, rel_error
 from dunets.volterra import (SPLITS, VolterraOperator, _measure, _pullback,
-                             _quad_form, _sample_rng, _scatter_windows,
+                             _quad_form, _scatter_windows, _stream_words,
                              _window_positions, data_grad, forward,
                              gen_dataset, load_dataset, make_operator,
                              sample_tv_prior, save_dataset, vjp)
@@ -462,9 +464,51 @@ def test_gen_dataset_rows_equal_per_sample_prior_bytewise(noise_sigma):
     for si, (name, count) in enumerate(zip(SPLITS, counts)):
         x = ds.splits[name][0]
         for i in (0, count // 2, count - 1):
-            row = sample_tv_prior(53, scale, rng=_sample_rng(seed, si, i, 1))
-            oracle = _walk_oracle(_sample_rng(seed, si, i, 1), 53, scale)
+            key = np.random.SeedSequence([seed, si, i, 1])
+            row = sample_tv_prior(53, scale, rng=np.random.default_rng(key))
+            oracle = _walk_oracle(np.random.default_rng(key), 53, scale)
             assert x[i].tobytes() == row.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 62, 2**32 - 1, 2**32 + 5, 2**64 + 3,
+                                  np.int64(2**40 + 9)])
+def test_stream_words_equal_numpy_seed_sequence(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no uint32 wrap-around warning
+        for si in range(3):
+            for purpose in (1, 2):
+                words = _stream_words(seed, si, 300, purpose)
+                expected = [np.random.SeedSequence([seed, si, i, purpose])
+                            .generate_state(4, np.uint64) for i in range(300)]
+                assert words.dtype == np.uint64
+                assert np.array_equal(words, expected)
+
+
+def test_stream_words_reject_a_negative_seed():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([-1, 0, 0, 1])
+    with pytest.raises(ValueError, match="non-negative"):
+        _stream_words(-1, 0, 4, 1)
+
+
+# sha256 of every split's x then y bytes, pinned from datasets made with one
+# numpy SeedSequence per sample, so they hold the bulk seeding to numpy's own
+DATASET_DIGESTS = [
+    (3, 0.0, "cf174aec6adb354aa032ba0a38ba591f34a55f88a3763f3cd3652a863e36227c"),
+    (3, 0.05, "334f19508ec3921f68019de9abe4a75d3b94f226a36ee94cdef1ff7adaeaa94b"),
+    (2**32 + 5, 0.05,
+     "224562c525ca8e08c5ae67f4be0efa74e7a35e33ef9cc39e412876e38f279501"),
+]
+
+
+@pytest.mark.parametrize("seed,noise_sigma,digest", DATASET_DIGESTS)
+def test_gen_dataset_bytes_golden(seed, noise_sigma, digest):
+    ds = gen_dataset(1.0, counts=(64, 16, 16), seed=seed, noise_sigma=noise_sigma)
+    h = hashlib.sha256()
+    for name in SPLITS:
+        for arr in ds.splits[name]:
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
