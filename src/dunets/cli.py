@@ -11,6 +11,7 @@ import argparse
 import csv
 import ctypes
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -59,10 +60,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _ints(text):
     return [int(v) for v in text.split(",") if v != ""]
-
-
-def _floats(text):
-    return [float(v) for v in text.split(",") if v != ""]
 
 
 def fingerprint(config):
@@ -124,9 +121,11 @@ def cmd_gen_data(args):
 # ---------------------------------------------------------------------------
 # train
 
-def _dataset_fields(dataset, train_size):
-    """The fingerprint fields that a run's dataset determines."""
-    return {"a": dataset.operator.a, "data_size": train_size,
+def _columns(model_config, dataset, train_size, **extra):
+    """A results row's fingerprinted fields: the model's, ``extra`` (a run's
+    training fields, or eval's split), then those the dataset determines."""
+    return {**{c: getattr(model_config, f) for c, f in MODEL_COLUMNS.items()},
+            **extra, "a": dataset.operator.a, "data_size": train_size,
             "val_size": dataset.counts[1], "test_size": dataset.counts[2],
             "tv_scale": dataset.tv_scale, "noise_sigma": dataset.noise_sigma,
             "op_fingerprint": dataset.operator.fingerprint()}
@@ -155,10 +154,10 @@ class RunConfig:
         """The run in results-column names: fingerprinted, recorded, reported."""
         if train_size is None:  # the length of train_split(dataset)
             train_size = len(self.train_split(dataset)[0])
-        return {**{c: getattr(self.model, f) for c, f in MODEL_COLUMNS.items()},
-                "epochs": self.train.epochs, "batch_size": self.train.batch_size,
-                "lr0": self.train.lr0, "train_fraction": self.train_fraction,
-                **_dataset_fields(dataset, train_size)}
+        return _columns(self.model, dataset, train_size,
+                        epochs=self.train.epochs,
+                        batch_size=self.train.batch_size, lr0=self.train.lr0,
+                        train_fraction=self.train_fraction)
 
 
 def _row_from_record(record, split="test"):
@@ -264,10 +263,8 @@ def cmd_eval(args):
     print(f"{args.split} split: mse {stats.mean:.6e} (std {stats.std:.3e}, "
           f"{len(stats.per_sample)} samples)")
     if args.results:
-        config = {column: getattr(model.config, field)
-                  for column, field in MODEL_COLUMNS.items()}
-        config.update(_dataset_fields(dataset, len(dataset.splits["train"][0])),
-                      split=args.split)
+        config = _columns(model.config, dataset,
+                          len(dataset.splits["train"][0]), split=args.split)
         record = {"fingerprint": fingerprint(config), "config": config,
                   "mse_mean": stats.mean, "mse_std": stats.std}
         _add_results(args.results, [_row_from_record(record, args.split)])
@@ -285,54 +282,51 @@ def _dataset_cache(root, **gen_kwargs):
     return path
 
 
+def percent(text):
+    """A percentage, as a fraction."""
+    return float(text) / 100.0
+
+
+# sweep kind -> (its grid fields, one per ';'-separated part of the grid, each
+# with the parser of its values; its default grid; its default models; its
+# default momenta).  The field "a" goes to gen_dataset, every other to the run.
+SWEEP_KINDS = {
+    "a": ({"a": float}, "0,1,2,4", VARIANTS, MOMENTA),
+    "datasize": ({"train_fraction": percent}, "10,25,50,100", ("lpd",), MOMENTA),
+    "rma-structure": ({"lstm_layers": int, "lstm_hidden": int},
+                      "1,2,3;30,50,70", ("lpd",), ("rma",)),
+    "unroll": ({"unroll": int}, "6,8,10,12,14,16", ("lpd",), ("rma",)),
+}
+
+
 def _sweep_cells(args):
-    """Expand the sweep kind and grid into (RunConfig, gen_dataset kwargs) cells."""
-    seeds = _ints(args.seeds)
-    counts = tuple(_ints(args.counts))
-    models = args.models.split(",") if args.models else None
-    momenta = args.momenta.split(",") if args.momenta else None
+    """Expand the sweep kind and grid into (RunConfig, gen_dataset kwargs) cells.
+
+    The cells are the cross product of the grid fields' values, then the
+    models, the momenta and the seeds, nested in that order.
+    """
+    fields, default_grid, models, momenta = SWEEP_KINDS[args.kind]
+    models = args.models.split(",") if args.models else models
+    momenta = args.momenta.split(",") if args.momenta else momenta
+    data_kwargs = {"counts": tuple(_ints(args.counts)), "seed": args.data_seed,
+                   "tv_scale": args.tv_scale, "noise_sigma": args.noise_sigma}
+    no_cells = UsageError(
+        f"sweep --kind {args.kind} --grid {args.grid!r} --seeds {args.seeds!r} "
+        f"expands to no cells (grid fields: {';'.join(fields)})")
+    parts = (args.grid or default_grid).split(";")
+    if len(parts) != len(fields):
+        raise no_cells
+    axes = [[parse(v) for v in part.split(",") if v != ""]
+            for parse, part in zip(fields.values(), parts)]
     cells = []
-
-    def add(variant, momentum, seed, a, **overrides):
+    for *values, variant, momentum, seed in itertools.product(
+            *axes, models, momenta, _ints(args.seeds)):
+        overrides = dict(zip(fields, values))
+        gen_kwargs = {"a": overrides.pop("a", args.a), **data_kwargs}
         cells.append((_run_config(args, variant, momentum, seed, **overrides),
-                      {"a": a, "counts": counts, "seed": args.data_seed,
-                       "tv_scale": args.tv_scale,
-                       "noise_sigma": args.noise_sigma}))
-
-    if args.kind == "a":
-        grid = _floats(args.grid) if args.grid else [0.0, 1.0, 2.0, 4.0]
-        for a in grid:
-            for variant in models or VARIANTS:
-                for momentum in momenta or MOMENTA:
-                    for seed in seeds:
-                        add(variant, momentum, seed, a)
-    elif args.kind == "datasize":
-        grid = _floats(args.grid) if args.grid else [10.0, 25.0, 50.0, 100.0]
-        for pct in grid:
-            for variant in models or ["lpd"]:
-                for momentum in momenta or MOMENTA:
-                    for seed in seeds:
-                        add(variant, momentum, seed, args.a,
-                            train_fraction=pct / 100.0)
-    elif args.kind == "rma-structure":
-        raw = args.grid or "1,2,3;30,50,70"
-        l_part, _, n_part = raw.partition(";")
-        for layers in _ints(l_part):
-            for hidden in _ints(n_part):
-                for seed in seeds:
-                    add("lpd", "rma", seed, args.a, lstm_layers=layers,
-                        lstm_hidden=hidden)
-    elif args.kind == "unroll":
-        grid = _ints(args.grid) if args.grid else [6, 8, 10, 12, 14, 16]
-        for unroll in grid:
-            for momentum in momenta or ["rma"]:
-                for seed in seeds:
-                    add("lpd", momentum, seed, args.a, unroll=unroll)
-    else:
-        raise UsageError(f"unknown sweep kind {args.kind!r}")
+                      gen_kwargs))
     if not cells:
-        raise UsageError(f"sweep --kind {args.kind} --grid {args.grid!r} "
-                         f"--seeds {args.seeds!r} expands to no cells")
+        raise no_cells
     return cells
 
 
@@ -358,8 +352,10 @@ def cmd_sweep(args):
         data_dir = _dataset_cache(args.out, **gen_kwargs)
         if data_dir not in dataset_cache:
             dataset_cache[data_dir] = load_dataset(data_dir)
-        if fingerprint(run.columns(dataset_cache[data_dir])) in done:
+        fp = fingerprint(run.columns(dataset_cache[data_dir]))
+        if fp in done:  # recorded already, or a repeat of an earlier cell
             continue
+        done.add(fp)
         payloads.append((run, data_dir, os.path.join(args.out, "runs")))
 
     if args.jobs > 1 and payloads:
@@ -536,10 +532,13 @@ def build_parser():
 
     p = sub.add_parser("sweep", parents=[run_flags, data_flags],
                        help="run a grid of configurations")
-    p.add_argument("--kind", choices=["a", "datasize", "rma-structure", "unroll"],
-                   required=True)
-    p.add_argument("--grid", default=None,
-                   help="kind-specific grid, e.g. '0,1,2,4' or '1,2,3;30,50,70'")
+    p.add_argument("--kind", choices=SWEEP_KINDS, required=True)
+    p.add_argument("--grid", default=None, help="',' between values, ';' "
+                   "between grid fields; " + "; ".join(
+                       f"{kind}: " + ";".join(f"{f} as {parse.__name__}"
+                                              for f, parse in fields.items())
+                       + f", default {grid!r}"
+                       for kind, (fields, grid, _, _) in SWEEP_KINDS.items()))
     p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     p.add_argument("--models", default=None)
     p.add_argument("--momenta", default=None)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -339,6 +340,21 @@ def test_eval_appends_results_row(tmp_path, data_dir):
     assert len(rows) == 1 and rows[0]["split"] == "test"
 
 
+def test_eval_fingerprint_golden(tmp_path, data_dir):
+    from dunets.unrolling import UnrollModel, save_model
+    from dunets.volterra import load_dataset
+    model = UnrollModel.build("lpd", "rma", load_dataset(data_dir).operator,
+                              unroll=2, lstm_hidden=5, width=4)
+    ckpt = str(tmp_path / "checkpoint.bin")
+    save_model(model, ckpt)
+    results = str(tmp_path / "results.csv")
+    for split in ("test", "val"):
+        assert run("eval", "--checkpoint", ckpt, "--data", data_dir,
+                   "--split", split, "--results", results) == 0
+    assert [r["fingerprint"] for r in read_rows(results)] == [
+        "8f9568bbc3fcbb9b", "b39a6243339fbc2c"]
+
+
 def test_eval_of_a_non_finite_model_fails_before_writing(tmp_path, data_dir,
                                                         capsys):
     from dunets.unrolling import load_model, save_model
@@ -575,6 +591,38 @@ def test_sweep_default_grids_expand_to_expected_cells():
     assert [r.model.unroll for r, _ in cells] == [6, 8, 10, 12, 14, 16]
 
 
+def test_sweep_runs_each_repeated_cell_once(tmp_path, capsys):
+    out = str(tmp_path / "sweep")
+    assert run("sweep", "--kind", "a", "--grid", "1,1", "--models", "lpd",
+               "--momenta", "none", "--seeds", "0,0", *SWEEP_FAST,
+               "--out", out) == 0
+    assert "1 ran, 3 skipped" in capsys.readouterr().out
+    assert len(read_rows(os.path.join(out, "results.csv"))) == 1
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["--kind", "a", "--grid", "1;2"], "a"),
+    (["--kind", "rma-structure", "--grid", "1;2;3"], "lstm_layers;lstm_hidden"),
+])
+def test_sweep_grid_with_the_wrong_part_count_is_a_usage_error(
+        tmp_path, capsys, argv, fields):
+    out = str(tmp_path / "sweep")
+    assert run("sweep", *argv, "--seeds", "0", *SWEEP_FAST, "--out", out) == 1
+    assert f"(grid fields: {fields})" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("kind", ["unroll", "rma-structure"])
+def test_sweep_models_and_momenta_filter_every_kind(kind):
+    from dunets.cli import _sweep_cells, build_parser
+    args = build_parser().parse_args(
+        ["sweep", "--kind", kind, "--models", "lpgd", "--momenta", "rma",
+         "--seeds", "0"])
+    cells = _sweep_cells(args)
+    assert cells and {(r.model.variant, r.model.momentum)
+                      for r, _ in cells} == {("lpgd", "rma")}
+
+
 def test_sweep_parallel_jobs_match_serial_results(tmp_path):
     serial = str(tmp_path / "serial")
     parallel = str(tmp_path / "parallel")
@@ -735,6 +783,43 @@ def test_sweep_cell_is_the_train_run_with_equal_settings(
     dataset = load_dataset(data_dir)
     assert fingerprint(cell.columns(dataset)) == \
         fingerprint(run_config.columns(dataset))
+
+
+CELL_RUN_FLAGS = ["--seeds", "2", "--epochs", "3", "--batch-size", "4",
+                  "--lr", "0.01", "--width", "6", "--gamma", "0.8",
+                  "--eta", "0.01"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--kind", "a", "--seeds", "0,1"],
+     "f6f73163d46e7040f9a49082f8a61e799d2c305c7c7ffce0821dd52ca61cd351"),
+    (["--kind", "datasize", "--seeds", "0,1"],
+     "8fa2363e2ed6429d72a59e0a14ec732d5c454dedf852ee2a4991aa3eb008acc4"),
+    (["--kind", "rma-structure", "--seeds", "0,1"],
+     "ae9c4520f3f17ef53e8ec27bc7d4821e944c04ace6b71dfe9c38f013a3fd7007"),
+    (["--kind", "unroll", "--seeds", "0,1"],
+     "63fbb3055254661e7abf694f0209051324a7be8736737b810708a060ed49d652"),
+    (["--kind", "a", "--grid", "1", "--models", "lpgd", "--momenta", "ma",
+      *CELL_RUN_FLAGS],
+     "bcb4d940a28734319c93e5d05034403e1dff8d6ddb988d9385395d6c4a044036"),
+    (["--kind", "unroll", "--grid", "3", "--momenta", "none",
+      *CELL_RUN_FLAGS],
+     "d3815306355d06be560c05c2013529b93eef7ebfa37936d3f0022b58b33cb1ed"),
+    (["--kind", "datasize", "--grid", "50", "--models", "lpd",
+      "--momenta", "rma", *CELL_RUN_FLAGS],
+     "e66e10330e8dad0a6d7aac441b5c427519b19acf28e2df5edbfc7c336164d5aa"),
+    (["--kind", "rma-structure", "--grid", "2;7", *CELL_RUN_FLAGS],
+     "691f0bf3fa8de939bffc77acf96700eb1f7488193c9b7715a7165cc38aa34be0"),
+], ids=["a", "datasize", "rma-structure", "unroll",
+        "a-cell", "unroll-cell", "datasize-cell", "rma-structure-cell"])
+def test_sweep_cells_golden(argv, digest):
+    # the ordered cells, each a RunConfig and its gen_dataset kwargs
+    from dunets.cli import _sweep_cells, build_parser
+    h = hashlib.sha256()
+    for run_config, gen_kwargs in _sweep_cells(
+            build_parser().parse_args(["sweep", *argv])):
+        h.update(f"{run_config!r} {gen_kwargs!r}\n".encode("utf-8"))
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
