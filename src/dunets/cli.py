@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage, 2 run failure, 3 fingerprint conflict.
 import argparse
 import csv
 import ctypes
+import functools
 import hashlib
 import itertools
 import json
@@ -17,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -99,8 +100,10 @@ def _read_rows(path, headers=(RESULT_COLUMNS,)):
 
 
 def _add_results(path, rows):
-    """Replace the results CSV at ``path`` with its rows, then ``rows``."""
-    _write_rows(path, RESULT_COLUMNS, _read_rows(path) + rows)
+    """Replace the results CSV at ``path`` with its rows, then ``rows``; a
+    row whose fingerprint the file holds goes in that row's place."""
+    table = {row["fingerprint"]: row for row in _read_rows(path) + rows}
+    _write_rows(path, RESULT_COLUMNS, table.values())
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +124,11 @@ def cmd_gen_data(args):
 # ---------------------------------------------------------------------------
 # train
 
-def _columns(model_config, dataset, train_size, **extra):
+def _columns(model_config, dataset, **extra):
     """A results row's fingerprinted fields: the model's, ``extra`` (a run's
     training fields, or eval's split), then those the dataset determines."""
     return {**{c: getattr(model_config, f) for c, f in MODEL_COLUMNS.items()},
-            **extra, "a": dataset.operator.a, "data_size": train_size,
+            **extra, "a": dataset.operator.a, "data_size": dataset.counts[0],
             "val_size": dataset.counts[1], "test_size": dataset.counts[2],
             "tv_scale": dataset.tv_scale, "noise_sigma": dataset.noise_sigma,
             "op_fingerprint": dataset.operator.fingerprint()}
@@ -144,17 +147,16 @@ class RunConfig:
             raise ValueError(
                 f"train fraction must lie in (0, 1], got {self.train_fraction}")
 
-    def train_split(self, dataset):
-        """The (x, y) pairs this run trains on: all of them or a subset."""
-        if self.train_fraction < 1.0:
-            return subsample_train(dataset, self.train_fraction, self.train.seed)
-        return dataset.splits["train"]
+    def dataset(self, dataset):
+        """``dataset``, its train split thinned to the run's fraction."""
+        if self.train_fraction == 1.0:
+            return dataset
+        subset = subsample_train(dataset, self.train_fraction, self.train.seed)
+        return replace(dataset, splits={**dataset.splits, "train": subset})
 
-    def columns(self, dataset, train_size=None):
+    def columns(self, dataset):
         """The run in results-column names: fingerprinted, recorded, reported."""
-        if train_size is None:  # the length of train_split(dataset)
-            train_size = len(self.train_split(dataset)[0])
-        return _columns(self.model, dataset, train_size,
+        return _columns(self.model, self.dataset(dataset),
                         epochs=self.train.epochs,
                         batch_size=self.train.batch_size, lr0=self.train.lr0,
                         train_fraction=self.train_fraction)
@@ -168,15 +170,13 @@ def _row_from_record(record, split="test"):
     return row
 
 
-def _train_one(run, data_dir, out_root, force=False, reuse=False):
-    """Train a single RunConfig; writes checkpoint/history/record.
+def _train_one(run, dataset, out_root, force=False, reuse=False):
+    """Train a single RunConfig on a dataset; writes checkpoint/history/record.
 
     Returns the results-CSV row.  With ``reuse`` an already-recorded run
     returns its stored row instead of raising a conflict.
     """
-    dataset = load_dataset(data_dir)
-    train_split = run.train_split(dataset)
-    full = run.columns(dataset, len(train_split[0]))
+    full = run.columns(dataset)
     fp = fingerprint(full)
 
     run_dir = os.path.join(out_root, fp)
@@ -191,7 +191,7 @@ def _train_one(run, data_dir, out_root, force=False, reuse=False):
 
     model = UnrollModel.build(operator=dataset.operator, **asdict(run.model))
     started = time.time()
-    history = train(model, dataset, run.train, train_override=train_split)
+    history = train(model, run.dataset(dataset), run.train)
     runtime = time.time() - started
 
     stats = _evaluate(model, dataset, "test")
@@ -233,7 +233,7 @@ def cmd_train(args):
                       args.train_fraction)
     if args.results:
         _read_rows(args.results)  # refuse a non-results file before training
-    row = _train_one(run, args.data, args.out, force=args.force)
+    row = _train_one(run, load_dataset(args.data), args.out, force=args.force)
     print(f"run {row['fingerprint']}: test mse {row['mse_mean']:.6e} "
           f"(std {row['mse_std']:.3e})")
     if args.results:
@@ -263,8 +263,7 @@ def cmd_eval(args):
     print(f"{args.split} split: mse {stats.mean:.6e} (std {stats.std:.3e}, "
           f"{len(stats.per_sample)} samples)")
     if args.results:
-        config = _columns(model.config, dataset,
-                          len(dataset.splits["train"][0]), split=args.split)
+        config = _columns(model.config, dataset, split=args.split)
         record = {"fingerprint": fingerprint(config), "config": config,
                   "mse_mean": stats.mean, "mse_std": stats.std}
         _add_results(args.results, [_row_from_record(record, args.split)])
@@ -332,31 +331,29 @@ def _sweep_cells(args):
 
 def _run_cell(payload):
     """Train one sweep cell: (its row, None), or (None, the error it raised)."""
-    run, data_dir, out_root = payload
+    run, dataset, out_root = payload
     try:
-        return _train_one(run, data_dir, out_root, reuse=True), None
+        return _train_one(run, dataset, out_root, reuse=True), None
     except Exception as exc:  # report, do not kill the sweep
         return None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(args):
     cells = _sweep_cells(args)
-    os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
     rows = _read_rows(results_path)
     done = {row["fingerprint"] for row in rows}
 
     payloads = []
-    dataset_cache = {}
+    load = functools.cache(load_dataset)  # each dataset directory once
     for run, gen_kwargs in cells:
-        data_dir = _dataset_cache(args.out, **gen_kwargs)
-        if data_dir not in dataset_cache:
-            dataset_cache[data_dir] = load_dataset(data_dir)
-        fp = fingerprint(run.columns(dataset_cache[data_dir]))
+        # makes args.out once gen_dataset has accepted its arguments
+        dataset = load(_dataset_cache(args.out, **gen_kwargs))
+        fp = fingerprint(run.columns(dataset))
         if fp in done:  # recorded already, or a repeat of an earlier cell
             continue
         done.add(fp)
-        payloads.append((run, data_dir, os.path.join(args.out, "runs")))
+        payloads.append((run, dataset, os.path.join(args.out, "runs")))
 
     if args.jobs > 1 and payloads:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -322,15 +322,20 @@ def load_params(path):
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
+    try:  # not UTF-8 or JSON, not an object, or no (name, shape, offset) list
+        header = json.loads(header_line.decode("utf-8"))
+        tensors = [(e["name"], tuple(e["shape"]), e["offset"])
+                   for e in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a parameter file ({exc!r})") from None
     if header.get("format") != _MAGIC:
         raise ValueError(f"{path}: not a parameter file")
     arrays = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape, start in tensors:
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        if not 0 <= start <= len(payload) - 8 * count:
+            raise ValueError(f"{path}: payload too short for tensor {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count,
                             offset=start).reshape(shape)
-        arrays[entry["name"]] = arr.copy()
+        arrays[name] = arr.copy()
     return arrays, header.get("meta", {})

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in [0, 1)")
         if not 0.0 < self.eps < np.inf:
             raise ValueError("Adam eps must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got seed={self.seed}")
 
 
 @dataclass
@@ -123,15 +125,13 @@ def subsample_train(dataset, fraction, seed):
     return x[idx], y[idx]
 
 
-def train(model, dataset, config, train_override=None):
-    """Optimize the model on a dataset; leaves the best parameters loaded.
-
-    ``train_override`` may supply a (x, y) pair replacing the training split
-    (for data-size studies).  Returns the TrainHistory.
+def train(model, dataset, config):
+    """Optimize the model on the dataset's train split; leaves the best
+    parameters loaded.  Returns the TrainHistory.
     """
     if model.operator.fingerprint() != dataset.operator.fingerprint():
         raise ValueError("model and dataset use different operators")
-    x_train, y_train = train_override or dataset.splits["train"]
+    x_train, y_train = dataset.splits["train"]
     x_val, y_val = dataset.splits["val"]
 
     params = model.param_list()

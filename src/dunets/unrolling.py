@@ -90,6 +90,8 @@ class ModelConfig:
         if self.variant == "lpd" and self.n_primal < 2:
             raise ValueError("lpd needs at least two primal channels")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got seed={self.seed}")
 
 
 # ---------------------------------------------------------------------------

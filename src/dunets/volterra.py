@@ -385,6 +385,8 @@ def gen_dataset(a, counts=(10000, 1000, 1000), seed=0, n=53, k=9, stride=4,
     if not 0.0 <= noise_sigma < np.inf:
         raise ValueError(
             f"noise_sigma must be finite and non-negative, got {noise_sigma}")
+    if seed < 0:
+        raise ValueError(f"data seed must be non-negative, got {seed}")
     op = make_operator(a, seed=seed, n=n, k=k, stride=stride)
     splits = {}
     for si, (name, count) in enumerate(zip(SPLITS, counts)):
@@ -449,6 +451,9 @@ def load_dataset(in_dir):
         for tag, width in (("x", n), ("y", m)):
             with open(os.path.join(in_dir, f"{name}_{tag}.f64"), "rb") as fh:
                 raw = fh.read()
+            if len(raw) != 8 * count * width:
+                raise ValueError(f"{fh.name}: {len(raw)} bytes, but the manifest's "
+                                 f"counts need {8 * count * width}")
             arrays.append(np.frombuffer(raw, dtype="<f8").reshape(count, width).copy())
         splits[name] = tuple(arrays)
     return PairedDataset(operator=op, splits=splits,

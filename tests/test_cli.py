@@ -423,6 +423,53 @@ def test_eval_on_a_dataset_without_a_manifest_key_fails(tmp_path, data_dir,
     assert f"{manifest}: manifest lacks key 'noise_sigma'" in capsys.readouterr().err
 
 
+def checkpoint_corruptions(header, payload):
+    """Corruptions of a checkpoint's JSON header and payload, by name."""
+    def without(key, entry=False):
+        h = json.loads(header)
+        (h["tensors"][0] if entry else h).pop(key)
+        return json.dumps(h).encode("utf-8")
+    return {
+        "not-json": (b"{not json", payload),
+        "not-an-object": (b"[1, 2]", payload),
+        "no-tensors": (without("tensors"), payload),
+        "entry-without-name": (without("name", entry=True), payload),
+        "entry-without-shape": (without("shape", entry=True), payload),
+        "entry-without-offset": (without("offset", entry=True), payload),
+        "short-payload": (header, payload[:-8]),
+    }
+
+
+@pytest.mark.parametrize("case", ["not-json", "not-an-object", "no-tensors",
+                                  "entry-without-name", "entry-without-shape",
+                                  "entry-without-offset", "short-payload"])
+def test_eval_of_a_malformed_checkpoint_names_the_file(tmp_path, data_dir,
+                                                       capsys, case):
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    with open(os.path.join(out, run_dir, "checkpoint.bin"), "rb") as fh:
+        header, payload = fh.readline().rstrip(b"\n"), fh.read()
+    header, payload = checkpoint_corruptions(header, payload)[case]
+    bad = str(tmp_path / "bad.bin")
+    with open(bad, "wb") as fh:
+        fh.write(header + b"\n" + payload)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", bad, "--data", data_dir) == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
+def test_a_truncated_dataset_array_is_named(tmp_path, data_dir, capsys):
+    array = os.path.join(data_dir, "train_x.f64")
+    with open(array, "r+b") as fh:
+        fh.truncate(os.path.getsize(array) - 8)
+    out = str(tmp_path / "runs")
+    assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
+               "--out", out) == 2
+    assert f"error: {array}: " in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def nan_test_split(monkeypatch):
     """Make every test-split evaluation in the CLI read a NaN mean error."""
     import dunets.cli as cli
@@ -511,6 +558,24 @@ def test_sweep_new_noise_level_gets_its_own_data_and_runs(tmp_path, capsys):
         with open(os.path.join(out, "runs", fp, "record.json")) as fh:
             config = json.load(fh)["config"]
         assert config["tv_scale"] == 0.1 and config["val_size"] == 8
+
+
+def test_sweep_loads_each_dataset_once(tmp_path, monkeypatch):
+    import dunets.cli as cli
+    load, loaded = cli.load_dataset, []
+
+    def counting_load(path):
+        loaded.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_dataset", counting_load)
+    out = str(tmp_path / "sweep")
+    # two datasets (a = 0 and 1), four cells
+    assert run("sweep", "--kind", "a", "--grid", "0,1", "--models", "lpd",
+               "--momenta", "none", "--seeds", "0,1", *SWEEP_FAST,
+               "--out", out) == 0
+    assert len(read_rows(os.path.join(out, "results.csv"))) == 4
+    assert len(loaded) == len(set(loaded)) == 2
 
 
 def test_sweep_rma_structure_grid(tmp_path):
@@ -738,6 +803,23 @@ def test_train_fingerprint_golden(data_dir):
     assert prints == ["60fc351c25c9205d", "9440601a35090703"]
 
 
+def test_train_fraction_run_golden(tmp_path, data_dir):
+    # the bytes a run on half the train split writes, not only its
+    # fingerprint; pinned under the single-threaded BLAS the suite runs
+    out, results = str(tmp_path / "runs"), tmp_path / "results.csv"
+    assert run("train", "--model", "lpd", "--momentum", "rma", *FAST,
+               "--train-fraction", "0.5", "--data", data_dir, "--out", out,
+               "--results", str(results)) == 0
+    (fp,) = os.listdir(out)
+    assert fp == "9440601a35090703"
+    run_dir = tmp_path / "runs" / fp
+    digests = [hashlib.sha256(blob).hexdigest()[:16] for blob in (
+        (run_dir / "history.csv").read_bytes(),
+        (run_dir / "checkpoint.bin").read_bytes(),
+        results.read_bytes().splitlines()[1])]
+    assert digests == ["fbdd0fe0a1049c90", "864525f2fd10af3b", "2815a24a747c2471"]
+
+
 def test_train_defaults_are_the_config_classes_defaults():
     from dunets.cli import RunConfig
     from dunets.training import TrainConfig
@@ -941,6 +1023,43 @@ def test_report_empty_results_fails(tmp_path):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--model", "lpd", *FAST, "--seed", "-1"],
+    ["sweep", "--kind", "a", "--grid", "1", "--seeds", "-1", *SWEEP_FAST],
+    ["sweep", "--kind", "a", "--grid", "1", "--seeds", "0",
+     "--data-seed", "-1", *SWEEP_FAST],
+    ["gen-data", "--a", "1", *TINY, "--seed", "-1"],
+], ids=["train", "sweep", "sweep-data-seed", "gen-data"])
+def test_a_negative_seed_is_refused_before_anything_is_written(
+        tmp_path, data_dir, capsys, argv):
+    out = str(tmp_path / "out")
+    assert run(*argv, "--out", out,
+               *(["--data", data_dir] if argv[0] == "train" else [])) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_a_rerun_replaces_its_results_row_in_place(tmp_path, data_dir):
+    out, results = str(tmp_path / "runs"), str(tmp_path / "results.csv")
+    argv = ["train", "--model", "lpgd", *FAST, "--data", data_dir,
+            "--out", out, "--results", results]
+    for extra in ([], ["--seed", "1"], ["--force"], ["--seed", "1", "--force"]):
+        assert run(*argv, *extra) == 0
+    rows = read_rows(results)
+    assert [r["seed"] for r in rows] == ["0", "1"]
+    ckpt = os.path.join(out, rows[0]["fingerprint"], "checkpoint.bin")
+    for split in ("val", "val", "test", "val"):
+        assert run("eval", "--checkpoint", ckpt, "--data", data_dir,
+                   "--split", split, "--results", results) == 0
+    rows = read_rows(results)
+    assert [(r["seed"], r["split"]) for r in rows] == [
+        ("0", "test"), ("1", "test"), ("0", "val"), ("0", "test")]
+    assert len({r["fingerprint"] for r in rows}) == 4
+    table = str(tmp_path / "table.csv")
+    assert run("report", "--results", results, "--out", table) == 0
+    assert {r["n_runs"] for r in read_rows(table) if r["split"] == "val"} == {"1"}
+
 
 def test_usage_error_exit_code():
     assert run("train", "--model", "nope", "--data", "x") == 1

@@ -297,6 +297,11 @@ def test_train_config_validation():
         TrainConfig(lr0=-1.0)
 
 
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed=-1"):
+        TrainConfig(seed=-1)
+
+
 @pytest.mark.parametrize("bad", [
     {"clip_norm": 0.0},   # every update would be silently zero
     {"clip_norm": -1.0},  # clipping would flip every gradient: Adam climbs

@@ -127,6 +127,11 @@ def test_config_rejects_a_non_finite_momentum_setting(field, value):
         ModelConfig("lpd", "ma", **{field: value})
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed=-1"):
+        ModelConfig("lpd", "rma", seed=-1)
+
+
 def test_same_seed_builds_identical_models(tiny_op):
     a = mini_model("lpd", "rma", tiny_op, seed=3)
     b = mini_model("lpd", "rma", tiny_op, seed=3)
