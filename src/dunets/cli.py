@@ -187,7 +187,6 @@ def _train_one(run, dataset, out_root, force=False, reuse=False):
                 return _row_from_record(json.load(fh))
         raise FingerprintConflict(
             f"run {fp} already recorded in {run_dir} (use --force to redo)")
-    os.makedirs(run_dir, exist_ok=True)
 
     model = UnrollModel.build(operator=dataset.operator, **asdict(run.model))
     started = time.time()
@@ -196,6 +195,7 @@ def _train_one(run, dataset, out_root, force=False, reuse=False):
 
     stats = _evaluate(model, dataset, "test")
 
+    os.makedirs(run_dir, exist_ok=True)
     ckpt_path = os.path.join(run_dir, "checkpoint.bin")
     hist_path = os.path.join(run_dir, "history.csv")
     save_model(model, ckpt_path)

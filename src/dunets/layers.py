@@ -1,11 +1,14 @@
 """Trainable building blocks, optimizer machinery, and parameter files.
 
-Convolution stacks use same-padded extent-3 kernels with PReLU activations
-and a linear output layer.  The recurrent momentum module is an L-layer
-LSTM stack whose final hidden state is mapped back to the gradient's space.
+Each block holds only its parameter tensors.  A convolution stack is
+same-padded convolutions with a learned per-channel PReLU slope after each
+hidden one and a linear output convolution.  The recurrent momentum module
+is an L-layer LSTM stack whose final hidden state is mapped back to the
+gradient's space; its state sizes are read off its cells' tensors.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +32,8 @@ class Conv1dLayer:
         self.bias = as_tensor(bias)
 
     @classmethod
-    def create(cls, rng, c_in, c_out, k=3, zero=False, scale=1.0):
-        if zero:
+    def create(cls, rng, c_in, c_out, k=3, scale=1.0):
+        if scale == 0:  # a zero kernel draws nothing from rng
             kernel = np.zeros((c_out, c_in, k))
         else:
             kernel = scale * he_uniform(rng, (c_out, c_in, k), fan_in=c_in * k)
@@ -44,57 +47,38 @@ class Conv1dLayer:
         yield f"{prefix}.bias", self.bias
 
 
-class PReLULayer:
-    """Parametric ReLU with one learnable slope per channel."""
-
-    def __init__(self, slope):
-        self.slope = as_tensor(slope)
-
-    @classmethod
-    def create(cls, channels, init=0.25):
-        return cls(np.full(channels, init))
-
-    def __call__(self, x):
-        return prelu(x, self.slope)
-
-    def named_params(self, prefix):
-        yield f"{prefix}.slope", self.slope
-
-
 class ConvStack:
     """conv -> PReLU -> ... -> conv, with a linear (activation-free) output.
 
-    The output convolution is zero-initialized so a freshly built stack is
-    the zero map, which keeps residually wired reconstructions at their
-    starting point until training moves them.
+    Each hidden conv feeds a PReLU with one learned slope per channel,
+    starting at 0.25.  The output conv's kernel is ``out_scale`` times a He
+    draw; at the default 0 a freshly built stack is the zero map, which
+    keeps residually wired reconstructions at their starting point until
+    training moves them.
     """
 
-    def __init__(self, convs, activations):
+    def __init__(self, convs, slopes):
         self.convs = convs
-        self.activations = activations  # len(convs) - 1 PReLU layers
+        self.slopes = slopes  # one per hidden conv: len(convs) - 1
 
     @classmethod
-    def create(cls, rng, channels, k=3, zero_last=True, out_scale=1.0):
-        convs, acts = [], []
+    def create(cls, rng, channels, k=3, out_scale=0.0):
         last = len(channels) - 2
-        for i, (c_in, c_out) in enumerate(zip(channels[:-1], channels[1:])):
-            convs.append(Conv1dLayer.create(rng, c_in, c_out, k=k,
-                                            zero=zero_last and i == last,
-                                            scale=out_scale if i == last else 1.0))
-            if i != last:
-                acts.append(PReLULayer.create(c_out))
-        return cls(convs, acts)
+        convs = [Conv1dLayer.create(rng, c_in, c_out, k=k,
+                                    scale=out_scale if i == last else 1.0)
+                 for i, (c_in, c_out) in enumerate(zip(channels[:-1], channels[1:]))]
+        return cls(convs, [Tensor(np.full(c, 0.25)) for c in channels[1:-1]])
 
     def __call__(self, x):
-        for conv, act in zip(self.convs[:-1], self.activations):
-            x = act(conv(x))
+        for conv, slope in zip(self.convs, self.slopes):
+            x = prelu(conv(x), slope)
         return self.convs[-1](x)
 
     def named_params(self, prefix):
         for i, conv in enumerate(self.convs):
             yield from conv.named_params(f"{prefix}.conv{i}")
-        for i, act in enumerate(self.activations):
-            yield from act.named_params(f"{prefix}.act{i}")
+        for i, slope in enumerate(self.slopes):
+            yield f"{prefix}.act{i}.slope", slope
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +100,17 @@ class LstmCell:
             setattr(self, name, tensors[name])
 
     @classmethod
-    def create(cls, rng, input_size, hidden_size, forget_bias=1.0):
+    def create(cls, rng, input_size, hidden_size):
         # recurrent weights use the customary U(-1/sqrt(n), 1/sqrt(n)) scale;
-        # hotter draws saturate the gates on unnormalized gradient inputs
+        # hotter draws saturate the gates on unnormalized gradient inputs.
+        # The forget gate's bias starts at 1, so the cell keeps its state.
         n, d = hidden_size, input_size
         lim = 1.0 / np.sqrt(n)
         t = {}
         for gate in "cfio":
             t[f"w_h{gate}"] = Tensor(rng.uniform(-lim, lim, size=(n, n)))
             t[f"w_g{gate}"] = Tensor(rng.uniform(-lim, lim, size=(n, d)))
-            t[f"b_{gate}"] = Tensor(np.full(n, forget_bias) if gate == "f"
-                                    else np.zeros(n))
+            t[f"b_{gate}"] = Tensor(np.ones(n) if gate == "f" else np.zeros(n))
         return cls(**t)
 
     def step(self, z_in, h, c):
@@ -152,11 +136,10 @@ class LstmStack:
     module: ``step`` is the momentum-module interface of ``unrolling``.
     """
 
-    def __init__(self, cells, w_hg, b_g, hidden_size):
+    def __init__(self, cells, w_hg, b_g):
         self.cells = cells
         self.w_hg = w_hg
         self.b_g = b_g
-        self.hidden_size = hidden_size
 
     @classmethod
     def create(cls, rng, input_size, hidden_size, layers=1):
@@ -174,12 +157,13 @@ class LstmStack:
             chain = cell.w_gc.data @ chain
         w_hg = Tensor(chain.T.copy())
         b_g = Tensor(np.zeros(input_size))
-        return cls(cells, w_hg, b_g, hidden_size)
+        return cls(cells, w_hg, b_g)
 
     def initial_state(self, batch=None):
-        shape = (self.hidden_size,) if batch is None else (batch, self.hidden_size)
-        return [(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
-                for _ in self.cells]
+        lead = () if batch is None else (batch,)
+        return [(Tensor(np.zeros(lead + cell.b_c.data.shape)),
+                 Tensor(np.zeros(lead + cell.b_c.data.shape)))
+                for cell in self.cells]
 
     def __call__(self, g, state):
         """Map a gradient and the carried state to (velocity, new state)."""
@@ -268,7 +252,7 @@ class CosineSchedule:
     def rate(self, t):
         if t >= self.t_max:
             return 0.0
-        return 0.5 * self.lr0 * (1.0 + np.cos(np.pi * t / self.t_max))
+        return float(0.5 * self.lr0 * (1.0 + np.cos(np.pi * t / self.t_max)))
 
 
 def global_norm(grads):
@@ -322,10 +306,13 @@ def load_params(path):
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    try:  # not UTF-8 or JSON, not an object, or no (name, shape, offset) list
+    try:  # not UTF-8 or JSON, not an object, no (name, shape, offset) list,
+        # or an offset or dimension that is not an integer
         header = json.loads(header_line.decode("utf-8"))
-        tensors = [(e["name"], tuple(e["shape"]), e["offset"])
-                   for e in header["tensors"]]
+        tensors = [(e["name"], tuple(map(operator.index, e["shape"])),
+                    operator.index(e["offset"])) for e in header["tensors"]]
+        if any(d < 0 for _, shape, _ in tensors for d in shape):
+            raise ValueError("negative dimension")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a parameter file ({exc!r})") from None
     if header.get("format") != _MAGIC:

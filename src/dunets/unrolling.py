@@ -208,7 +208,7 @@ class UnrollModel:
                 # shallow models untouched and pins the deep ones at the same
                 # ~O(100) initial magnitude guardrail.
                 dual_nets.append(ConvStack.create(
-                    rng, (n_dual + 2, width, n_dual), k=kernel, zero_last=False,
+                    rng, (n_dual + 2, width, n_dual), k=kernel,
                     out_scale=min(1.0, 12.0 / max(unroll, 1))))
 
         if momentum == "none":
@@ -333,7 +333,10 @@ def load_model(path):
         w1, w2 = arrays.pop("operator.w1"), arrays.pop("operator.w2")
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks array {exc.args[0]!r}") from None
-    op = VolterraOperator(w1=w1, w2=w2, **geometry)
+    try:
+        op = VolterraOperator(w1=w1, w2=w2, **geometry)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: manifest holds a bad operator ({exc})") from None
     if op.fingerprint() != fingerprint:
         raise ValueError(f"{path}: operator fingerprint mismatch")
     model = UnrollModel.build(operator=op, **config)

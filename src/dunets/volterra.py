@@ -48,6 +48,9 @@ class VolterraOperator:
         if np.any(np.tril(self.w2, -1) != 0.0):
             raise ValueError("second-order kernel must be upper-triangular")
         _check_geometry(self.n, k, self.stride)
+        if not 0 <= self.a < np.inf or not np.isfinite(self.b):  # NaN fails too
+            raise ValueError("nonlinearity coefficient must be finite and non-negative "
+                             f"and the output bias finite, got a={self.a}, b={self.b}")
         self._w2sym = self.w2 + self.w2.T
         self._idx = _window_positions(self.n, k, self.stride, 1).reshape(self.m, k)
 
@@ -102,8 +105,6 @@ def _window_positions(n, k, stride, rows):
 
 def make_operator(a, seed, n=53, k=9, stride=4):
     """Seeded operator: w1 ~ N(0, 1/k), upper-triangular W2 ~ N(0, 1/k^2)."""
-    if a < 0:
-        raise ValueError("nonlinearity coefficient must be non-negative")
     _check_geometry(n, k, stride)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x0b]))
     w1 = rng.normal(0.0, 1.0 / np.sqrt(k), size=k)
@@ -444,7 +445,11 @@ def load_dataset(in_dir):
                        n=n, k=int(manifest["k"]), stride=int(manifest["s"]))
     if op.fingerprint() != manifest["op_fingerprint"]:
         raise ValueError(f"{in_dir}: operator fingerprint mismatch")
-    counts = [int(c) for c in manifest["counts"].split(",")]
+    counts = manifest["counts"].split(",")
+    if len(counts) != 3 or not all(c.isdecimal() and int(c) > 0 for c in counts):
+        raise ValueError(f"{path}: counts must be three positive integers, "
+                         f"got {manifest['counts']!r}")
+    counts = [int(c) for c in counts]
     splits = {}
     for name, count in zip(SPLITS, counts):
         arrays = []

@@ -391,6 +391,23 @@ def test_eval_of_a_checkpoint_without_a_manifest_key_fails(tmp_path, data_dir,
     assert f"{bad}: manifest lacks key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("a", "1.0"), ("a", float("nan")),
+                                        ("n", "11")])
+def test_eval_of_a_checkpoint_with_a_bad_operator_field_fails(
+        tmp_path, data_dir, capsys, key, value):
+    from dunets.layers import load_params, save_params
+    out = str(tmp_path / "runs")
+    run("train", "--model", "lpgd", *FAST, "--data", data_dir, "--out", out)
+    (run_dir,) = os.listdir(out)
+    arrays, meta = load_params(os.path.join(out, run_dir, "checkpoint.bin"))
+    meta["op"][key] = value
+    bad = str(tmp_path / "bad.bin")
+    save_params(bad, list(arrays.items()), meta=meta)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", bad, "--data", data_dir) == 2
+    assert f"{bad}: manifest holds a bad operator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["operator.w1", "operator.w2"])
 def test_eval_of_a_checkpoint_without_an_operator_array_fails(tmp_path, data_dir,
                                                               capsys, name):
@@ -405,6 +422,24 @@ def test_eval_of_a_checkpoint_without_an_operator_array_fails(tmp_path, data_dir
     capsys.readouterr()
     assert run("eval", "--checkpoint", bad, "--data", data_dir) == 2
     assert f"{bad}: checkpoint lacks array '{name}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts", ["8,4", "24,8,8,8", "24,8,x", "24,0,8",
+                                    "24,-8,8", "24,8,8.0"])
+def test_a_dataset_with_malformed_counts_is_named(tmp_path, data_dir, capsys,
+                                                  counts):
+    manifest = os.path.join(data_dir, "manifest.txt")
+    with open(manifest) as fh:
+        lines = [f"counts={counts}\n" if line.startswith("counts=") else line
+                 for line in fh]
+    with open(manifest, "w") as fh:
+        fh.writelines(lines)
+    out = str(tmp_path / "runs")
+    assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
+               "--out", out) == 2
+    assert (f"error: {manifest}: counts must be three positive integers"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 def test_eval_on_a_dataset_without_a_manifest_key_fails(tmp_path, data_dir,
@@ -429,6 +464,11 @@ def checkpoint_corruptions(header, payload):
         h = json.loads(header)
         (h["tensors"][0] if entry else h).pop(key)
         return json.dumps(h).encode("utf-8")
+
+    def edited(key, value):
+        h = json.loads(header)
+        h["tensors"][0][key] = value
+        return json.dumps(h).encode("utf-8")
     return {
         "not-json": (b"{not json", payload),
         "not-an-object": (b"[1, 2]", payload),
@@ -437,12 +477,17 @@ def checkpoint_corruptions(header, payload):
         "entry-without-shape": (without("shape", entry=True), payload),
         "entry-without-offset": (without("offset", entry=True), payload),
         "short-payload": (header, payload[:-8]),
+        "offset-not-an-integer": (edited("offset", "0"), payload),
+        "shape-not-integers": (edited("shape", ["a"]), payload),
+        "negative-dimension": (edited("shape", [-1]), payload),
     }
 
 
 @pytest.mark.parametrize("case", ["not-json", "not-an-object", "no-tensors",
                                   "entry-without-name", "entry-without-shape",
-                                  "entry-without-offset", "short-payload"])
+                                  "entry-without-offset", "short-payload",
+                                  "offset-not-an-integer", "shape-not-integers",
+                                  "negative-dimension"])
 def test_eval_of_a_malformed_checkpoint_names_the_file(tmp_path, data_dir,
                                                        capsys, case):
     out = str(tmp_path / "runs")
@@ -490,9 +535,24 @@ def test_train_with_a_non_finite_test_mse_fails_before_writing(
     assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
                "--out", out, "--results", results) == 2
     assert "non-finite test mse" in capsys.readouterr().err
-    (run_dir,) = os.listdir(out)
-    assert os.listdir(os.path.join(out, run_dir)) == []
+    assert not os.path.exists(out)
     assert not os.path.exists(results)
+
+
+def test_a_diverged_train_leaves_no_run_directory(tmp_path, data_dir,
+                                                  monkeypatch, capsys):
+    import dunets.cli as cli
+    from dunets.training import TrainingDiverged
+
+    def diverging(model, dataset, config):
+        raise TrainingDiverged(3, 1e-3, float("inf"))
+
+    monkeypatch.setattr(cli, "train", diverging)
+    out = str(tmp_path / "runs")
+    assert run("train", "--model", "lpgd", *FAST, "--data", data_dir,
+               "--out", out) == 2
+    assert "training aborted" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +877,7 @@ def test_train_fraction_run_golden(tmp_path, data_dir):
         (run_dir / "history.csv").read_bytes(),
         (run_dir / "checkpoint.bin").read_bytes(),
         results.read_bytes().splitlines()[1])]
-    assert digests == ["fbdd0fe0a1049c90", "864525f2fd10af3b", "2815a24a747c2471"]
+    assert digests == ["1e5bd334b6e652f9", "864525f2fd10af3b", "2815a24a747c2471"]
 
 
 def test_train_defaults_are_the_config_classes_defaults():
@@ -1037,6 +1097,19 @@ def test_a_negative_seed_is_refused_before_anything_is_written(
     assert run(*argv, "--out", out,
                *(["--data", data_dir] if argv[0] == "train" else [])) == 2
     assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--a", "nan", *TINY],
+    ["gen-data", "--a", "inf", *TINY],
+    ["sweep", "--kind", "a", "--grid", "nan", "--seeds", "0", *SWEEP_FAST],
+], ids=["gen-data-nan", "gen-data-inf", "sweep-nan"])
+def test_a_non_finite_operator_is_refused_before_anything_is_written(
+        tmp_path, capsys, argv):
+    out = str(tmp_path / "out")
+    assert run(*argv, "--out", out) == 2
+    assert "nonlinearity coefficient" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

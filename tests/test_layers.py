@@ -224,7 +224,7 @@ def test_single_identity_conv_layer(rng):
 
 
 def test_conv_stack_gradients_match_finite_differences(rng):
-    stack = ConvStack.create(rng, (1, 3, 2), k=3, zero_last=False)
+    stack = ConvStack.create(rng, (1, 3, 2), k=3, out_scale=1.0)
     x = rng.normal(size=(1, 5))
     names = [n for n, _ in stack.named_params("s")]
     arrays = [t.data.copy() for _, t in stack.named_params("s")]
@@ -235,7 +235,7 @@ def test_conv_stack_gradients_match_finite_differences(rng):
         # rebind parameters to the tracked tensors
         stack.convs[0].kernel, stack.convs[0].bias = tensors[0], tensors[1]
         stack.convs[1].kernel, stack.convs[1].bias = tensors[2], tensors[3]
-        stack.activations[0].slope = tensors[4]
+        stack.slopes[0] = tensors[4]
         out = stack(Tensor(x))
         return sum_all(out)
 

@@ -290,6 +290,15 @@ def test_history_csv_layout(tmp_path, tiny_dataset):
     assert len(filled) == 2
 
 
+def test_history_csv_writes_each_lr_as_a_plain_float(tmp_path, tiny_dataset):
+    model = tiny_model(tiny_dataset, unroll=2)
+    history = train(model, tiny_dataset, TrainConfig(epochs=1, batch_size=8, seed=0))
+    path = tmp_path / "history.csv"
+    history.to_csv(str(path))
+    fields = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert fields and all(repr(float(f)) == f for f in fields)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import re
 import sys
@@ -499,6 +500,38 @@ def test_checkpoint_meta_golden(tmp_path, tiny_op):
         "op": {"a": 1.0, "b": 0.0, "n": 11, "k": 5, "stride": 3, "seed": 7,
                "fingerprint": "62cf2592cc63d3e5"},
     }
+
+
+# sha256 prefix per pair over its checkpoint bytes, a B=7 reconstruction and
+# the unbatched reconstruction of the reloaded model.  The seed-5 weights are
+# perturbed (sigma 0.005) so every layer, zero-initialized ones too, is live;
+# T=13 tapers lpd's dual output layers and L=2 stacks two LSTM cells.
+BUILD_GOLDEN = {
+    ("lpgd", "none"): "f4d910e165d296fd", ("lpgd", "ma"): "1aecf4e220b0e6c4",
+    ("lpgd", "rma"): "9fb8a2ac740336c2", ("lpgdsw", "none"): "bb4c79b7cbb7a73b",
+    ("lpgdsw", "ma"): "3a43ba902f996ae8", ("lpgdsw", "rma"): "02e5e28f726db770",
+    ("lpd", "none"): "b78a0968d99de29d", ("lpd", "ma"): "20c39442255f046c",
+    ("lpd", "rma"): "35958ede492941c2",
+}
+
+
+def test_build_checkpoint_and_reconstruction_golden(tmp_path, tiny_op):
+    digests = {}
+    for variant in VARIANTS:
+        for momentum in MOMENTA:
+            model = mini_model(variant, momentum, tiny_op, unroll=13, seed=5,
+                               lstm_layers=2)
+            rng = np.random.default_rng(5)
+            for p in model.param_list():
+                p.data = p.data + 0.005 * rng.normal(size=p.data.shape)
+            path = tmp_path / f"{variant}-{momentum}.bin"
+            save_model(model, str(path))
+            ys = rng.normal(size=(7, tiny_op.m))
+            h = hashlib.sha256(path.read_bytes())
+            h.update(model.reconstruct(ys).data.tobytes())
+            h.update(load_model(str(path)).reconstruct(ys[0]).data.tobytes())
+            digests[variant, momentum] = h.hexdigest()[:16]
+    assert digests == BUILD_GOLDEN
 
 
 def test_checkpoint_rejects_wrong_kind(tmp_path, tiny_op):
