@@ -563,8 +563,9 @@ def _keep_temporaries_in_heap():
     """Serve freed blocks up to 32 MiB from glibc's heap; a no-op off glibc.
 
     By default glibc maps every block over 128 KiB afresh and unmaps it on
-    free, so each large numpy temporary of a B=256 batch, and each column
-    block of conv1d's second lane, costs fresh page faults.  These are the
+    free, so each large numpy temporary of a B=256 batch, and each 2.6 MB
+    column block that conv1d's two lanes build (64 samples at a time at
+    B=256, two blocks alive at once), costs fresh page faults.  These are the
     thresholds perfbench runs under.
     """
     try:

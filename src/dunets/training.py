@@ -98,6 +98,9 @@ class EvalStats:
 
 def evaluate(model, x, y, batch_size=256):
     """Per-sample mean squared error over a split; std uses n-1 weighting."""
+    if len(x) != len(y):
+        raise ValueError(f"cannot evaluate {len(x)} signals against "
+                         f"{len(y)} observations")
     if len(x) == 0:
         raise ValueError("cannot evaluate an empty split")
     errs = np.empty(len(x))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import signal
 import time
@@ -514,6 +515,51 @@ def test_batches_over_one_tile_equal_per_tile_calls_bitwise(rng):
             assert a.transpose(1, 0, 2).flags.c_contiguous  # channel-major kept
         c_order = prelu(Tensor(np.ascontiguousarray(whole[0])), Tensor(slope)).data
         assert c_order.flags.c_contiguous and np.array_equal(c_order, whole[1])
+
+
+@pytest.mark.parametrize("b_sz", [1, 31, 32, 33, 64, 96, 100, 128, 160, 255, 256,
+                                  257, 512])
+def test_lane_edges_cut_whole_tiles_into_at_most_four_blocks(b_sz):
+    edges = autodiff._lane_edges(b_sz)
+    assert edges[0] == 0 and edges[-1] == b_sz
+    assert all(lo < hi for lo, hi in zip(edges[:-1], edges[1:]))
+    assert all(e % 32 == 0 for e in edges[1:-1])  # interior edges on tiles
+    full = edges if b_sz % 32 == 0 else edges[:-1]
+    if b_sz % 32:  # the ragged tail is a block of its own
+        assert edges[-2] == b_sz - b_sz % 32
+    assert len(full) - 1 <= 4
+    assert len(edges) - 1 >= (2 if b_sz >= 64 else 1)
+    if b_sz <= 32:
+        assert edges == [0, b_sz]
+    if b_sz == 256:  # the evaluation batch: four GEMMs of two tiles each
+        assert edges == [0, 64, 128, 192, 256]
+
+
+# sha256 over conv1d's output, its x, kernel and bias gradients and the PReLU
+# of the output, for the protocol kernel shapes (k=3, N=53) at evaluation
+# batch sizes, from both input layouts; pinned under single-threaded BLAS.
+LANE_BITS_GOLDEN = "c76957ab47088cca"
+
+
+def test_conv_and_prelu_bits_at_evaluation_batch_sizes_golden():
+    rng = np.random.default_rng(2501)
+    h = hashlib.sha256()
+    for c_in, c_out in [(32, 32), (32, 1), (32, 5), (2, 32), (6, 32), (7, 32), (7, 5)]:
+        kernel, bias = rng.normal(size=(c_out, c_in, 3)), rng.normal(size=c_out)
+        slope = rng.uniform(-0.5, 1.5, size=c_out)
+        for b_sz in (33, 64, 65, 96, 100, 128, 160, 232, 256, 257):
+            x = rng.normal(size=(b_sz, c_in, 53))
+            u = rng.normal(size=(b_sz, c_out, 53))
+            for layout in (np.ascontiguousarray, channel_major):
+                xt, kt, bt = Tensor(layout(x)), Tensor(kernel), Tensor(bias)
+                with Tape() as tape:
+                    tape.watch(xt, kt, bt)
+                    out = conv1d(xt, kt, bt)
+                    grads = backward(sum_all(mul(out, Tensor(u))), [xt, kt, bt])
+                act = prelu(out, Tensor(slope))
+                for a in (out.data, grads[xt], grads[kt], grads[bt], act.data):
+                    h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == LANE_BITS_GOLDEN
 
 
 def test_forked_child_builds_its_own_second_lane(rng):

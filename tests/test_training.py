@@ -84,6 +84,15 @@ def test_evaluate_rejects_empty_split(tiny_dataset):
         evaluate(model, np.zeros((0, 11)), np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("n_x, n_y", [(10, 12), (12, 10)])
+def test_evaluate_rejects_signals_and_observations_of_different_counts(
+        tiny_dataset, n_x, n_y):
+    model = tiny_model(tiny_dataset)
+    x, y = tiny_dataset.splits["train"]
+    with pytest.raises(ValueError, match=f"{n_x} signals against {n_y} observations"):
+        evaluate(model, x[:n_x], y[:n_y])
+
+
 # ---------------------------------------------------------------------------
 # training
 

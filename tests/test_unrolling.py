@@ -534,6 +534,37 @@ def test_build_checkpoint_and_reconstruction_golden(tmp_path, tiny_op):
     assert digests == BUILD_GOLDEN
 
 
+# sha256 prefix per pair over its reconstructions at evaluation batch sizes
+# 64, 100 and 256, at protocol shapes (n=53, k=9, s=4, width 32) with T=3 and
+# seed-25 weights perturbed as above.
+EVAL_BATCH_GOLDEN = {
+    ("lpgd", "none"): "c02137aa8d2aede1", ("lpgd", "ma"): "ee96e7b921f0daef",
+    ("lpgd", "rma"): "6de65f78714a2bc9", ("lpgdsw", "none"): "d1c9774071cb225d",
+    ("lpgdsw", "ma"): "f890b682c9f3c265", ("lpgdsw", "rma"): "2540fdee07339de4",
+    ("lpd", "none"): "c09ad59d6403feb7", ("lpd", "ma"): "a38a38c39800a0da",
+    ("lpd", "rma"): "63c5ea7e08b2d4b1",
+}
+
+
+def test_reconstruction_bits_at_evaluation_batch_sizes_golden():
+    op = make_operator(1.0, seed=25)
+    digests = {}
+    for variant in VARIANTS:
+        for momentum in MOMENTA:
+            model = UnrollModel.build(variant, momentum, op, unroll=3, seed=25)
+            rng = np.random.default_rng(25)
+            for p in model.param_list():
+                p.data = p.data + 0.005 * rng.normal(size=p.data.shape)
+            ys = rng.normal(size=(256, op.m))
+            h = hashlib.sha256()
+            for b_sz in (64, 100, 256):
+                xhat = model.reconstruct(ys[:b_sz]).data
+                assert np.isfinite(xhat).all()
+                h.update(xhat.tobytes())
+            digests[variant, momentum] = h.hexdigest()[:16]
+    assert digests == EVAL_BATCH_GOLDEN
+
+
 def test_checkpoint_rejects_wrong_kind(tmp_path, tiny_op):
     from dunets.layers import save_params
     path = str(tmp_path / "other.bin")
